@@ -32,34 +32,33 @@ def _values_from(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").astype(np.float64)
 
 
-def _masks_bytes(masks: dict[int, BitMask]) -> bytes:
-    out = [struct.pack("<Q", len(masks))]
-    for t in sorted(masks):
-        m = masks[t].to_bytes()
-        out.append(struct.pack("<qQ", t, len(m)))
-        out.append(m)
+def _pack(blobs: dict[int, bytes]) -> bytes:
+    """Count, then per id in ascending order: id, byte length, the blob."""
+    out = [struct.pack("<Q", len(blobs))]
+    for t in sorted(blobs):
+        out.append(struct.pack("<qQ", t, len(blobs[t])))
+        out.append(blobs[t])
     return b"".join(out)
 
 
-def _masks_from(data: bytes) -> dict[int, BitMask]:
+def _unpack(data: bytes) -> dict[int, bytes]:
     (count,) = struct.unpack_from("<Q", data, 0)
     pos = 8
-    masks = {}
+    blobs = {}
     for _ in range(count):
         t, n = struct.unpack_from("<qQ", data, pos)
         pos += 16
-        masks[t] = BitMask.from_bytes(data[pos : pos + n])
+        blobs[t] = data[pos : pos + n]
         pos += n
-    return masks
+    return blobs
 
 
-def _stores_bytes(stores: dict[int, ParamStore]) -> bytes:
-    out = [struct.pack("<Q", len(stores))]
-    for t in sorted(stores):
-        blob = _values_bytes(stores[t].values)
-        out.append(struct.pack("<qQ", t, len(blob)))
-        out.append(blob)
-    return b"".join(out)
+def _masks_bytes(masks: dict[int, BitMask]) -> bytes:
+    return _pack({t: m.to_bytes() for t, m in masks.items()})
+
+
+def _masks_from(data: bytes) -> dict[int, BitMask]:
+    return {t: BitMask.from_bytes(blob) for t, blob in _unpack(data).items()}
 
 
 def save_checkpoint(path, learner: eng.BaseLearner) -> None:
@@ -70,7 +69,8 @@ def save_checkpoint(path, learner: eng.BaseLearner) -> None:
         sections.append(("ledger", _masks_bytes(learner.ledger.trained_by)))
         sections.append(("buffers", rehearsal.buffers_to_bytes(learner.buffers)))
     elif isinstance(learner, eng.IndependentLearner):
-        sections.append(("stores", _stores_bytes(learner.stores)))
+        sections.append(("stores", _pack({t: _values_bytes(p.values)
+                                          for t, p in learner.stores.items()})))
     else:
         sections.append(("params", _values_bytes(learner.params.values)))
         if isinstance(learner, eng.ReplayLearner):
@@ -134,14 +134,8 @@ def load_checkpoint(path) -> eng.BaseLearner:
         learner.buffers = rehearsal.buffers_from_bytes(sections["buffers"])
         learner.union_bits = learner.registry.union().bits
     elif isinstance(learner, eng.IndependentLearner):
-        (count,) = struct.unpack_from("<Q", sections["stores"], 0)
-        off = 8
-        for _ in range(count):
-            t, n = struct.unpack_from("<qQ", sections["stores"], off)
-            off += 16
-            store = ParamStore(learner.arch, _values_from(sections["stores"][off : off + n]))
-            learner.stores[t] = store
-            off += n
+        learner.stores = {t: ParamStore(learner.arch, _values_from(blob))
+                          for t, blob in _unpack(sections["stores"]).items()}
     else:
         learner.params.values[:] = _values_from(sections["params"])
         if isinstance(learner, eng.ReplayLearner):

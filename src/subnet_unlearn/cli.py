@@ -106,7 +106,7 @@ def cmd_gen_scenario(args) -> int:
     return 0
 
 
-def _hyperparams_from_args(args, tasks: int) -> eng.Hyperparams:
+def _hyperparams_from_args(args) -> eng.Hyperparams:
     try:
         hidden = tuple(int(h) for h in args.hidden.split(",") if h)
     except ValueError:
@@ -125,7 +125,7 @@ def _hyperparams_from_args(args, tasks: int) -> eng.Hyperparams:
 
 def cmd_run(args) -> int:
     sc = _scenario_from_args(args)
-    hp = _hyperparams_from_args(args, sc.tasks)
+    hp = _hyperparams_from_args(args)
     out = _outdir(args)
     seeds = scenario.seed_plan(sc.seed, args.seeds)
     rows = []

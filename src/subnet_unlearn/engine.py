@@ -18,23 +18,19 @@ and masked parameter bit-identical to the run without the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import net, rehearsal
 from .masking import (BitMask, CapacityError, MaskRegistry, ProvenanceLedger,
-                      ScoreStore, affected_params, init_scores, layer_budget,
+                      affected_params, init_scores, later_tasks, layer_budget,
                       ste_score_grad, topk_mask)
 from .metrics import AccuracyMatrix, audit_unlearning
 from .net import MlpArch, ParamStore, build_mlp
 from .optim import apply_update, make_optimizer
 from .rng import StreamSet
 from .scenario import Request, TaskSuite, validate_sequence
-
-METHODS = ("subnet", "sequential", "independent", "er", "derpp",
-           "static_sparse", "dynamic_sparse")
-EXACT_METHODS = ("subnet", "independent", "static_sparse", "dynamic_sparse")
 
 
 class RequestError(ValueError):
@@ -81,12 +77,6 @@ class RetrainEvent:
     shared_count: int   # entries shared with later tasks and retrained
     steps: int
     mean_abs_diff: float  # mean |after - reset| over the shared entries
-
-
-def _minibatches(n: int, batch_size: int, stream):
-    order = stream.permutation(n)
-    for i in range(0, n, batch_size):
-        yield order[i : i + batch_size]
 
 
 class BaseLearner:
@@ -160,6 +150,41 @@ class BaseLearner:
         return make_optimizer(self.hp.optimizer, self.arch.d, self.hp.lr,
                               self.hp.momentum, wd)
 
+    def _train(self, task: int, data, params: ParamStore, update_bits: np.ndarray,
+               mask=None, after_step=None) -> np.ndarray | None:
+        """The training loop of every learner: per epoch, shuffled minibatches
+        of the task's data.  A step backpropagates cross-entropy through
+        ``mask`` (bits, None for dense, or a callable giving the step's
+        bits), updates ``params`` where ``update_bits`` is set with
+        ``_step_grads`` of the result, then calls ``after_step`` with it.
+        Returns the mask after the last step."""
+        opt = self._make_opt()
+        n, size = data.x_train.shape[0], self.hp.batch_size
+        for _ in range(self.hp.epochs):
+            order = self.stream(task, "data_order").permutation(n)
+            for idx in (order[i : i + size] for i in range(0, n, size)):
+                bits = mask() if callable(mask) else mask
+                logits, trace = net.forward_trace(params, bits, task, data.x_train[idx])
+                _, dlogits = net.cross_entropy_grad(logits, data.y_train[idx])
+                g = net.backward(trace, dlogits)
+                apply_update(params.values, self._step_grads(g), opt, update_bits)
+                if after_step is not None:
+                    after_step(g)
+        return mask() if callable(mask) else mask
+
+    def _step_grads(self, g: net.GradBuffer) -> np.ndarray:
+        """The gradient a training step applies; replay learners add theirs."""
+        return g.params
+
+    def _replay_grad(self, tasks, masks: dict, beta: float, grad: np.ndarray,
+                     work: net.GradBuffer) -> np.ndarray:
+        """Replay gradient, into ``grad``, over a fresh batch from each of
+        ``tasks``' buffers (learners that keep ``buffers`` only)."""
+        batches = rehearsal.draw_replay_batches(
+            self.buffers, tasks, self.hp.batch_size,
+            lambda t: self.stream(t, "retrain_order"))
+        return rehearsal.replay_grad(self.params, masks, batches, beta, grad, work)[2]
+
 
 class MaskedLearner(BaseLearner):
     """Single shared store plus per-task masks and provenance tracking."""
@@ -195,63 +220,50 @@ class MaskedLearner(BaseLearner):
             rehearsal.delete_buffer(self.buffers, task)
         owned = self.ledger.owned(task)
         net.resample(self.params, owned.bits, self.stream(task, "unlearn_reset"))
-        remaining = [t for t in self.omega if t != task]
-        shared = affected_params(self.registry, self.ledger, task, remaining)
+        later = later_tasks(self.omega, task)
+        shared = affected_params(self.registry, self.ledger, task, later)
         steps = 0
         diff = 0.0
         if shared.any():
             reset_vals = self.params.values[shared.bits].copy()
             if self.uses_buffers and self.hp.n_retrain > 0:
                 steps = self.hp.n_retrain
-                self._retrain_shared(task, shared)
+                self._retrain_shared(later, shared)
             diff = float(np.abs(self.params.values[shared.bits] - reset_vals).mean())
         self.ledger.erase(owned)
         self.ledger.clear(task)
         if steps:
-            for tau in remaining:
-                if tau > task:
-                    self.ledger.record(tau, BitMask(shared.bits & self.registry.get(tau).bits))
+            for tau in later:
+                self.ledger.record(tau, BitMask(shared.bits & self.registry.get(tau).bits))
         self.registry.remove(task)
         self.union_bits = self.registry.union().bits
         self.retrain_events.append(RetrainEvent(task, owned.count(), shared.count(), steps, diff))
 
-    def _retrain_shared(self, task: int, shared: BitMask) -> None:
+    def _retrain_shared(self, later: list[int], shared: BitMask) -> None:
         """Recover later tasks' use of the reset entries from their buffers."""
-        retrain_tasks = [t for t in self.omega if t > task and t != task]
-        masks = {t: self.registry.get(t).bits for t in retrain_tasks}
+        masks = {t: self.registry.get(t).bits for t in later}
         opt = self._make_opt()
+        grad = np.zeros(self.arch.d, dtype=np.float64)
+        work = net.GradBuffer.zeros(self.arch.d)
         for _ in range(self.hp.n_retrain):
-            grads = np.zeros(self.arch.d, dtype=np.float64)
-            batches = rehearsal.draw_replay_batches(
-                self.buffers, retrain_tasks, self.hp.batch_size,
-                lambda t: self.stream(t, "retrain_order"))
-            for tau in sorted(batches):
-                xb, yb, zb = batches[tau]
-                logits, trace = net.forward_trace(self.params, masks[tau], tau, xb)
-                _, dce = net.cross_entropy_grad(logits, yb)
-                _, dmse = net.logit_mse_grad(logits, zb)
-                grads += net.backward(trace, dce + self.hp.beta * dmse).params
-            apply_update(self.params.values, grads, opt, shared.bits)
+            self._replay_grad(later, masks, self.hp.beta, grad, work)
+            apply_update(self.params.values, grad, opt, shared.bits)
 
     def _score_train(self, task: int, data, free: np.ndarray,
                      eligible: np.ndarray | None) -> BitMask:
         """Optimize selection scores jointly with unfrozen weights."""
         scores = init_scores(self.arch, self.stream(task, "score_init"))
         score_bits = scores.maskable if eligible is None else eligible
-        opt_w = self._make_opt()
         opt_s = self._make_opt(decay=0.0)
-        n = data.x_train.shape[0]
-        for _ in range(self.hp.epochs):
-            for idx in _minibatches(n, self.hp.batch_size, self.stream(task, "data_order")):
-                mask = topk_mask(scores, self.alpha, self.arch, task, eligible)
-                logits, trace = net.forward_trace(self.params, mask.bits, task,
-                                                  data.x_train[idx])
-                _, dlogits = net.cross_entropy_grad(logits, data.y_train[idx])
-                g = net.backward(trace, dlogits)
-                apply_update(self.params.values, g.params, opt_w, free)
-                sg = ste_score_grad(g.effective, self.params, score_bits)
-                apply_update(scores.values, sg, opt_s, score_bits)
-        return topk_mask(scores, self.alpha, self.arch, task, eligible)
+
+        def select() -> np.ndarray:
+            return topk_mask(scores, self.alpha, self.arch, task, eligible).bits
+
+        def update_scores(g: net.GradBuffer) -> None:
+            sg = ste_score_grad(g.effective, self.params, score_bits)
+            apply_update(scores.values, sg, opt_s, score_bits)
+
+        return BitMask(self._train(task, data, self.params, free, select, update_scores))
 
     def _predict(self, task: int, x: np.ndarray) -> np.ndarray:
         logits = net.forward(self.params, self.registry.get(task).bits, task, x)
@@ -268,10 +280,8 @@ class SubnetLearner(MaskedLearner):
         return self._score_train(task, data, free, eligible=None)
 
 
-class DynamicSparseLearner(MaskedLearner):
-    """Score-chosen subnetworks restricted to still-free entries (disjoint)."""
-
-    method = "dynamic_sparse"
+class DisjointLearner(MaskedLearner):
+    """Masks drawn only from still-free entries, so no two tasks share one."""
 
     def __init__(self, suite, hp, master_seed):
         super().__init__(suite, hp, master_seed)
@@ -279,23 +289,22 @@ class DynamicSparseLearner(MaskedLearner):
             raise CapacityError(
                 f"alpha {self.alpha:g} cannot fit {self.task_count} disjoint masks; "
                 "need alpha <= 1/task_count")
+
+
+class DynamicSparseLearner(DisjointLearner):
+    """Score-chosen subnetworks restricted to still-free entries (disjoint)."""
+
+    method = "dynamic_sparse"
 
     def _train_subnetwork(self, task, data, free):
         eligible = free & self.arch.maskable_bits()
         return self._score_train(task, data, free, eligible)
 
 
-class StaticSparseLearner(MaskedLearner):
+class StaticSparseLearner(DisjointLearner):
     """Random fixed disjoint subnetwork per task."""
 
     method = "static_sparse"
-
-    def __init__(self, suite, hp, master_seed):
-        super().__init__(suite, hp, master_seed)
-        if self.alpha > 1.0 / self.task_count + 1e-12:
-            raise CapacityError(
-                f"alpha {self.alpha:g} cannot fit {self.task_count} disjoint masks; "
-                "need alpha <= 1/task_count")
 
     def _train_subnetwork(self, task, data, free):
         bits = np.zeros(self.arch.d, dtype=bool)
@@ -308,17 +317,7 @@ class StaticSparseLearner(MaskedLearner):
                     f"layer {layer.name}: need {k} free entries, only {pool.size} left")
             bits[pool[stream.subset(pool.size, k)]] = True
         bits[self.arch.head_bits(task)] = True
-        mask = BitMask(bits)
-        opt = self._make_opt()
-        n = data.x_train.shape[0]
-        for _ in range(self.hp.epochs):
-            for idx in _minibatches(n, self.hp.batch_size, self.stream(task, "data_order")):
-                logits, trace = net.forward_trace(self.params, mask.bits, task,
-                                                  data.x_train[idx])
-                _, dlogits = net.cross_entropy_grad(logits, data.y_train[idx])
-                g = net.backward(trace, dlogits)
-                apply_update(self.params.values, g.params, opt, mask.bits)
-        return mask
+        return BitMask(self._train(task, data, self.params, bits, bits))
 
 
 class SequentialLearner(BaseLearner):
@@ -331,18 +330,7 @@ class SequentialLearner(BaseLearner):
         self.params = net.init_params(self.arch, self.stream(0, "param_init"))
 
     def _learn(self, task, data) -> None:
-        update_bits = self._dense_update_bits(task)
-        opt = self._make_opt()
-        n = data.x_train.shape[0]
-        for _ in range(self.hp.epochs):
-            for idx in _minibatches(n, self.hp.batch_size, self.stream(task, "data_order")):
-                self._step(task, data.x_train[idx], data.y_train[idx], opt, update_bits)
-
-    def _step(self, task, xb, yb, opt, update_bits) -> None:
-        logits, trace = net.forward_trace(self.params, None, task, xb)
-        _, dlogits = net.cross_entropy_grad(logits, yb)
-        g = net.backward(trace, dlogits)
-        apply_update(self.params.values, g.params, opt, update_bits)
+        self._train(task, data, self.params, self._dense_update_bits(task))
 
     def _unlearn(self, task) -> None:
         pass  # parameters keep whatever they learned
@@ -352,41 +340,30 @@ class SequentialLearner(BaseLearner):
 
 
 class ReplayLearner(SequentialLearner):
-    """Dense model with replay buffers; beta > 0 adds the stored-logit term."""
+    """Dense model with replay buffers; ``distills`` adds the stored-logit
+    term at weight beta."""
 
     method = "er"
+    distills = False
 
-    def __init__(self, suite, hp, master_seed, beta: float = 0.0):
+    def __init__(self, suite, hp, master_seed):
         super().__init__(suite, hp, master_seed)
-        self.beta = beta
+        self.beta = hp.beta if self.distills else 0.0
         self.buffers: dict[int, rehearsal.ReplayBuffer] = {}
         self.buffer_capacity = rehearsal.per_task_capacity(hp.buffer_total, self.task_count)
+        # Replay gradient and backward workspace, overwritten by every step.
+        self._grad = np.zeros(self.arch.d, dtype=np.float64)
+        self._work = net.GradBuffer.zeros(self.arch.d)
 
-    def _replay_grads(self, exclude: int | None = None) -> np.ndarray:
-        grads = np.zeros(self.arch.d, dtype=np.float64)
+    def _step_grads(self, g: net.GradBuffer, exclude: int | None = None) -> np.ndarray:
+        """The step's own gradient plus replay over every other buffered task."""
         tasks = [t for t in self.buffers if t != exclude]
-        if tasks:
-            batches = rehearsal.draw_replay_batches(
-                self.buffers, tasks, self.hp.batch_size,
-                lambda t: self.stream(t, "retrain_order"))
-            for tau in sorted(batches):
-                xb, yb, zb = batches[tau]
-                logits, trace = net.forward_trace(self.params, None, tau, xb)
-                _, dce = net.cross_entropy_grad(logits, yb)
-                _, dmse = net.logit_mse_grad(logits, zb)
-                grads += net.backward(trace, dce + self.beta * dmse).params
-        return grads
+        grad = self._replay_grad(tasks, {}, self.beta, self._grad, self._work)
+        grad += g.params
+        return grad
 
     def _learn(self, task, data) -> None:
-        update_bits = self._dense_update_bits(task)
-        opt = self._make_opt()
-        n = data.x_train.shape[0]
-        for _ in range(self.hp.epochs):
-            for idx in _minibatches(n, self.hp.batch_size, self.stream(task, "data_order")):
-                logits, trace = net.forward_trace(self.params, None, task, data.x_train[idx])
-                _, dlogits = net.cross_entropy_grad(logits, data.y_train[idx])
-                grads = net.backward(trace, dlogits).params + self._replay_grads()
-                apply_update(self.params.values, grads, opt, update_bits)
+        super()._learn(task, data)
         self.buffers[task] = rehearsal.fill_buffer(
             data.x_train, data.y_train, self.params, None, task,
             self.buffer_capacity, self.stream(task, "buffer_sample"))
@@ -401,8 +378,9 @@ class ReplayLearner(SequentialLearner):
                                               self.stream(task, "retrain_order"))
             logits, trace = net.forward_trace(self.params, None, task, xb)
             _, dlogits = net.uniform_cross_entropy_grad(logits)
-            grads = net.backward(trace, dlogits).params + self._replay_grads(exclude=task)
-            apply_update(self.params.values, grads, opt, update_bits)
+            g = net.backward(trace, dlogits)
+            apply_update(self.params.values, self._step_grads(g, exclude=task), opt,
+                         update_bits)
         rehearsal.delete_buffer(self.buffers, task)
 
 
@@ -410,9 +388,7 @@ class DistillingReplayLearner(ReplayLearner):
     """Replay with the stored-logit distillation term switched on."""
 
     method = "derpp"
-
-    def __init__(self, suite, hp, master_seed):
-        super().__init__(suite, hp, master_seed, beta=hp.beta)
+    distills = True
 
 
 class IndependentLearner(BaseLearner):
@@ -427,15 +403,7 @@ class IndependentLearner(BaseLearner):
 
     def _learn(self, task, data) -> None:
         params = net.init_params(self.arch, self.stream(task, "param_init"))
-        update_bits = self._dense_update_bits(task)
-        opt = self._make_opt()
-        n = data.x_train.shape[0]
-        for _ in range(self.hp.epochs):
-            for idx in _minibatches(n, self.hp.batch_size, self.stream(task, "data_order")):
-                logits, trace = net.forward_trace(params, None, task, data.x_train[idx])
-                _, dlogits = net.cross_entropy_grad(logits, data.y_train[idx])
-                g = net.backward(trace, dlogits)
-                apply_update(params.values, g.params, opt, update_bits)
+        self._train(task, data, params, self._dense_update_bits(task))
         self.stores[task] = params
 
     def _unlearn(self, task) -> None:
@@ -445,23 +413,18 @@ class IndependentLearner(BaseLearner):
         return np.argmax(net.forward(self.stores[task], None, task, x), axis=1)
 
 
+LEARNERS = {cls.method: cls for cls in (
+    SubnetLearner, SequentialLearner, IndependentLearner, ReplayLearner,
+    DistillingReplayLearner, StaticSparseLearner, DynamicSparseLearner)}
+METHODS = tuple(LEARNERS)
+EXACT_METHODS = tuple(m for m, cls in LEARNERS.items() if cls.keeps_masks)
+
+
 def make_learner(method: str, suite: TaskSuite, hp: Hyperparams,
                  master_seed: int) -> BaseLearner:
-    if method == "subnet":
-        return SubnetLearner(suite, hp, master_seed)
-    if method == "sequential":
-        return SequentialLearner(suite, hp, master_seed)
-    if method == "independent":
-        return IndependentLearner(suite, hp, master_seed)
-    if method == "er":
-        return ReplayLearner(suite, hp, master_seed)
-    if method == "derpp":
-        return DistillingReplayLearner(suite, hp, master_seed)
-    if method == "static_sparse":
-        return StaticSparseLearner(suite, hp, master_seed)
-    if method == "dynamic_sparse":
-        return DynamicSparseLearner(suite, hp, master_seed)
-    raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+    if method not in LEARNERS:
+        raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
+    return LEARNERS[method](suite, hp, master_seed)
 
 
 def process_request(learner: BaseLearner, request: Request, suite: TaskSuite,
@@ -509,31 +472,30 @@ def state_diffs(a: BaseLearner, b: BaseLearner, suite: TaskSuite) -> list[str]:
     if a.omega != b.omega:
         diffs.append(f"learned sets differ: {a.omega} vs {b.omega}")
         return diffs
-    full_l, cut_l = a, b
-    if isinstance(full_l, MaskedLearner):
-        if full_l.registry.tasks() != cut_l.registry.tasks():
+    if isinstance(a, MaskedLearner):
+        if a.registry.tasks() != b.registry.tasks():
             diffs.append("mask registries cover different tasks")
         else:
-            for t in full_l.registry.tasks():
-                if full_l.registry.get(t) != cut_l.registry.get(t):
+            for t in a.registry.tasks():
+                if a.registry.get(t) != b.registry.get(t):
                     diffs.append(f"mask for task {t} differs")
-        union = full_l.registry.union().bits
-        if not np.array_equal(full_l.params.values[union], cut_l.params.values[union]):
+        union = a.registry.union().bits
+        if not np.array_equal(a.params.values[union], b.params.values[union]):
             diffs.append("parameters under the mask union differ")
-        for t in sorted(set(full_l.buffers) | set(getattr(cut_l, "buffers", {}))):
-            a, b = full_l.buffers.get(t), cut_l.buffers.get(t)
-            if a is None or b is None:
+        for t in sorted(set(a.buffers) | set(getattr(b, "buffers", {}))):
+            buf_a, buf_b = a.buffers.get(t), b.buffers.get(t)
+            if buf_a is None or buf_b is None:
                 diffs.append(f"buffer presence differs for task {t}")
-            elif not (np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-                      and np.array_equal(a.z, b.z)):
+            elif not (np.array_equal(buf_a.x, buf_b.x) and np.array_equal(buf_a.y, buf_b.y)
+                      and np.array_equal(buf_a.z, buf_b.z)):
                 diffs.append(f"buffer for task {t} differs")
-    if isinstance(full_l, IndependentLearner):
-        for t in full_l.omega:
-            if not np.array_equal(full_l.stores[t].values, cut_l.stores[t].values):
+    if isinstance(a, IndependentLearner):
+        for t in a.omega:
+            if not np.array_equal(a.stores[t].values, b.stores[t].values):
                 diffs.append(f"model for task {t} differs")
-    for t in full_l.omega:
+    for t in a.omega:
         d = suite.tasks[t]
-        if not np.array_equal(full_l.predict(t, d.x_test), cut_l.predict(t, d.x_test)):
+        if not np.array_equal(a.predict(t, d.x_test), b.predict(t, d.x_test)):
             diffs.append(f"predictions for task {t} differ")
     return diffs
 

@@ -192,13 +192,19 @@ class ProvenanceLedger:
         return self.trained_by.get(task, BitMask.zeros(self.d))
 
 
+def later_tasks(omega, task: int) -> list[int]:
+    """The tasks of ``omega`` counted as learned after ``task``: those with a
+    larger id.  This decides which masks an unlearn retrains and re-records."""
+    return [tau for tau in omega if tau > task]
+
+
 def affected_params(registry: MaskRegistry, ledger: ProvenanceLedger, task: int,
                     omega) -> BitMask:
     """Entries later tasks share with ``task``'s owned set, so resetting them
-    requires retraining: OR over tau in omega, tau > task, of m_tau AND owned."""
+    requires retraining: OR over tau in later_tasks(omega, task) of m_tau AND
+    owned."""
     owned = ledger.owned(task)
     bits = np.zeros(registry.d, dtype=bool)
-    for tau in omega:
-        if tau > task:
-            bits |= registry.get(tau).bits & owned.bits
+    for tau in later_tasks(omega, task):
+        bits |= registry.get(tau).bits & owned.bits
     return BitMask(bits)

@@ -14,7 +14,7 @@ including slots whose mask bit is 0; score updates need those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,6 +168,10 @@ class GradBuffer:
     params: np.ndarray
     effective: np.ndarray
 
+    @staticmethod
+    def zeros(d: int) -> "GradBuffer":
+        return GradBuffer(np.zeros(d, dtype=np.float64), np.zeros(d, dtype=np.float64))
+
 
 def _layer_params(params: ParamStore, layer: LayerSpec, mask: np.ndarray | None):
     w = params.weight(layer)
@@ -214,13 +218,20 @@ def _run(params: ParamStore, mask: np.ndarray | None, task: int, x: np.ndarray, 
     return logits, trace
 
 
-def backward(trace: Trace, dlogits: np.ndarray) -> GradBuffer:
-    """Backpropagate dloss/dlogits through a recorded forward pass."""
+def backward(trace: Trace, dlogits: np.ndarray, out: GradBuffer | None = None) -> GradBuffer:
+    """Backpropagate dloss/dlogits through a recorded forward pass.
+
+    ``out``, when given, is overwritten and returned instead of allocating
+    two fresh length-d vectors.
+    """
     if not isinstance(trace, Trace):
         raise TypeError("backward needs the trace recorded by forward_trace")
     arch = trace.arch
-    g_param = np.zeros(arch.d, dtype=np.float64)
-    g_eff = np.zeros(arch.d, dtype=np.float64)
+    if out is None:
+        out = GradBuffer.zeros(arch.d)
+    else:  # the pass below writes every slot except other tasks' heads
+        out.effective[arch.layers[len(arch.hidden)].start :] = 0.0
+    g_param, g_eff = out.params, out.effective
     layers = list(arch.maskable_layers()) + [arch.head_layer(trace.task)]
     delta = np.asarray(dlogits, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):  # caught by the
@@ -239,7 +250,7 @@ def backward(trace: Trace, dlogits: np.ndarray) -> GradBuffer:
         np.multiply(g_eff, trace.mask, out=g_param)
     if not np.all(np.isfinite(g_eff)):
         raise FloatingPointError("non-finite gradient")
-    return GradBuffer(g_param, g_eff)
+    return out
 
 
 def _check_logits(logits: np.ndarray) -> np.ndarray:
@@ -294,13 +305,9 @@ def logit_mse_grad(logits: np.ndarray, stored: np.ndarray):
     return loss, 2.0 * diff / n
 
 
-def uniform_cross_entropy(logits: np.ndarray) -> float:
-    """Mean cross-entropy against the uniform distribution over classes."""
-    loss, _ = uniform_cross_entropy_grad(logits)
-    return loss
-
-
 def uniform_cross_entropy_grad(logits: np.ndarray):
+    """Mean cross-entropy against the uniform distribution over classes, and
+    its gradient."""
     logits = _check_logits(logits)
     n, c = logits.shape
     logp = _log_softmax(logits)

@@ -7,7 +7,7 @@ frozen parameter stays bit-identical no matter how many steps run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,7 @@ Entries are immutable after the fill.  The replay loss over a set of
 buffers is, per task, the batch-mean cross-entropy through that task's
 masked forward plus beta times the batch-mean squared logit distance,
 summed over tasks.  beta = 0 gives plain experience replay, beta = 0.5
-adds the dark-knowledge term.
+adds the dark-knowledge term.  ``replay_grad`` computes it with its gradient.
 """
 
 from __future__ import annotations
@@ -71,19 +71,35 @@ def draw_replay_batches(buffers: dict[int, ReplayBuffer], tasks, size: int, stre
     return {t: sample_batch(buffers[t], size, stream_for(t)) for t in sorted(tasks)}
 
 
-def replay_terms(params: ParamStore, masks: dict, batches: dict):
-    """(cross-entropy term, logit-distance term) over the given batches.
+def replay_grad(params: ParamStore, masks: dict, batches: dict, beta: float,
+                grad: np.ndarray | None = None, work: net.GradBuffer | None = None):
+    """(cross-entropy term, logit-distance term, gradient of ce + beta * dist
+    w.r.t. the raw parameters) over the batches; every replay path runs this.
 
-    masks maps task -> mask bits or None for a dense forward.
+    masks maps task -> mask bits, absent or None for a dense forward.  A
+    caller that passes ``grad`` (overwritten) and ``work`` (backward's
+    output) makes the call allocate no length-d vector.
     """
+    if grad is None:
+        grad = np.zeros(params.arch.d, dtype=np.float64)
+    else:
+        grad.fill(0.0)
     ce = 0.0
     dist = 0.0
     for t in sorted(batches):
         xb, yb, zb = batches[t]
-        logits = net.forward(params, masks.get(t), t, xb)
-        ce += net.cross_entropy(logits, yb)
-        dist += net.logit_mse(logits, zb)
-    return ce, dist
+        logits, trace = net.forward_trace(params, masks.get(t), t, xb)
+        ce_t, dce = net.cross_entropy_grad(logits, yb)
+        dist_t, dmse = net.logit_mse_grad(logits, zb)
+        grad += net.backward(trace, dce + beta * dmse, work).params
+        ce += ce_t
+        dist += dist_t
+    return ce, dist, grad
+
+
+def replay_terms(params: ParamStore, masks: dict, batches: dict):
+    """(cross-entropy term, logit-distance term) of ``replay_grad``."""
+    return replay_grad(params, masks, batches, 0.0)[:2]
 
 
 def replay_loss(params: ParamStore, buffers: dict[int, ReplayBuffer], masks: dict,
@@ -97,16 +113,20 @@ def replay_loss(params: ParamStore, buffers: dict[int, ReplayBuffer], masks: dic
     return ce + beta * dist
 
 
+def _row_dtype(xdim: int, zdim: int) -> np.dtype:
+    """One packed little-endian buffer record: x, then y, then z."""
+    return np.dtype([("x", "<f8", (xdim,)), ("y", "<i8"), ("z", "<f8", (zdim,))])
+
+
 def buffers_to_bytes(buffers: dict[int, ReplayBuffer]) -> bytes:
     """Per task: id, entry count, dims, then packed little-endian records."""
     out = [struct.pack("<Q", len(buffers))]
     for t in sorted(buffers):
         b = buffers[t]
+        rows = np.empty(len(b), _row_dtype(b.x.shape[1], b.z.shape[1]))
+        rows["x"], rows["y"], rows["z"] = b.x, b.y, b.z
         out.append(struct.pack("<qQQQ", t, len(b), b.x.shape[1], b.z.shape[1]))
-        for i in range(len(b)):
-            out.append(b.x[i].astype("<f8").tobytes())
-            out.append(struct.pack("<q", int(b.y[i])))
-            out.append(b.z[i].astype("<f8").tobytes())
+        out.append(rows.tobytes())
     return b"".join(out)
 
 
@@ -117,16 +137,12 @@ def buffers_from_bytes(data: bytes) -> dict[int, ReplayBuffer]:
     for _ in range(count):
         t, n, xdim, zdim = struct.unpack_from("<qQQQ", data, pos)
         pos += 32
-        x = np.empty((n, xdim), dtype=np.float64)
-        y = np.empty(n, dtype=np.int64)
-        z = np.empty((n, zdim), dtype=np.float64)
-        for i in range(n):
-            x[i] = np.frombuffer(data, "<f8", xdim, pos)
-            pos += 8 * xdim
-            (y[i],) = struct.unpack_from("<q", data, pos)
-            pos += 8
-            z[i] = np.frombuffer(data, "<f8", zdim, pos)
-            pos += 8 * zdim
+        dtype = _row_dtype(xdim, zdim)
+        rows = np.frombuffer(data, dtype, n, pos)
+        pos += n * dtype.itemsize
+        x = np.array(rows["x"], dtype=np.float64)
+        y = np.array(rows["y"], dtype=np.int64)
+        z = np.array(rows["z"], dtype=np.float64)
         for arr in (x, y, z):
             arr.setflags(write=False)
         buffers[t] = ReplayBuffer(t, x, y, z)

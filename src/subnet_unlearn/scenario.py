@@ -1,8 +1,9 @@
 """Request sequences and synthetic task suites.
 
 A scenario is a sequence of learn/unlearn requests over tasks 1..T plus the
-dataset they run on.  Tasks are learned in id order, each at most once; an
-unlearn may only target a currently learned task.  Synthetic tasks are
+dataset they run on.  Each task is learned at most once, in any order
+(generated sequences learn in id order); an unlearn may only target a
+currently learned task.  Synthetic tasks are
 Gaussian blobs: each class gets a center drawn at scale ``spread`` and
 samples scattered around it at scale ``noise``, with globally disjoint
 label spaces across tasks.

@@ -9,11 +9,12 @@ from subnet_unlearn import net
 from subnet_unlearn.checkpoint import load_checkpoint, save_checkpoint
 from subnet_unlearn.engine import (EXACT_METHODS, METHODS, Hyperparams,
                                    RequestError, UnknownTaskError,
-                                   audit_learner, make_learner, run_sequence,
-                                   state_diffs)
+                                   audit_learner, make_learner, process_request,
+                                   run_sequence, state_diffs)
 from subnet_unlearn.masking import CapacityError
+from subnet_unlearn.metrics import AccuracyMatrix
 from subnet_unlearn.rng import RngStream
-from subnet_unlearn.scenario import Request
+from subnet_unlearn.scenario import Request, Scenario
 
 L = lambda t: Request("learn", t)
 U = lambda t: Request("unlearn", t)
@@ -297,3 +298,27 @@ def test_state_diffs_detects_injected_perturbation():
     j = int(b.registry.get(1).indices()[0])
     b.params.values[j] += 1e-9
     assert any("parameters" in d for d in state_diffs(a, b, suite))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "an unlearn retrains only the masks of tasks with a larger id, and re-records "
+    "the retrained entries to all of them, so entries a retained mask uses can be "
+    "reset without retraining"))
+@pytest.mark.parametrize("seq", [[L(2), L(1), U(2)], [L(1), L(2), L(3), U(1), U(3)]],
+                         ids=["learned-later-smaller-id", "re-recorded-to-two-tasks"])
+def test_unlearn_retrains_every_reset_entry_a_retained_mask_uses(seq):
+    suite = Scenario(seed=42, tasks=4, unlearns=0).suite_for_seed(42)
+    learner = make_learner("subnet", suite, Hyperparams(alpha=0.3, epochs=3), 42)
+    matrix = AccuracyMatrix()
+    for request in seq:
+        expected = None
+        if request.kind == "unlearn":
+            retained = np.zeros(learner.arch.d, dtype=bool)
+            for t in learner.omega:
+                if t != request.task:
+                    retained |= learner.registry.get(t).bits
+            expected = int(np.count_nonzero(learner.ledger.owned(request.task).bits
+                                            & retained))
+        process_request(learner, request, suite, matrix)
+        if expected is not None:
+            assert learner.retrain_events[-1].shared_count == expected

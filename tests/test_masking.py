@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from subnet_unlearn.masking import (BitMask, CapacityError, MaskRegistry,
                                     ProvenanceLedger, ScoreStore,
-                                    affected_params, init_scores, layer_budget,
-                                    ste_score_grad, topk_mask)
+                                    affected_params, init_scores, later_tasks,
+                                    layer_budget, ste_score_grad, topk_mask)
 from subnet_unlearn.net import build_mlp, init_params, kaiming_bound
 from subnet_unlearn.rng import RngStream
 
@@ -203,3 +203,8 @@ def test_affected_params_filters_later_tasks_only():
     led.record(2, BitMask.from_bits(np.array([0, 0, 0, 0, 0, 1, 0, 0], dtype=bool)))
     reg.add(1, BitMask.from_bits(np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=bool)))
     assert not affected_params(reg, led, 2, [1, 3]).any()
+
+
+def test_later_tasks_keeps_larger_ids_in_omega_order():
+    assert later_tasks([3, 1, 4, 2], 2) == [3, 4]
+    assert later_tasks([3, 1, 4, 2], 4) == []

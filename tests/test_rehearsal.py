@@ -1,14 +1,18 @@
 """Replay buffers: deterministic filling, stored-logit consistency, uniform
-sampling, deletion semantics, loss decomposition, and serialization."""
+sampling, deletion semantics, loss decomposition, the replay gradient, and
+serialization."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from subnet_unlearn.net import build_mlp, forward, init_params
-from subnet_unlearn.rehearsal import (buffers_from_bytes, buffers_to_bytes,
-                                      delete_buffer, fill_buffer,
-                                      per_task_capacity, replay_loss,
-                                      sample_batch)
+from subnet_unlearn.net import GradBuffer, build_mlp, forward, init_params
+from subnet_unlearn.rehearsal import (ReplayBuffer, buffers_from_bytes,
+                                      buffers_to_bytes, delete_buffer,
+                                      draw_replay_batches, fill_buffer,
+                                      per_task_capacity, replay_grad,
+                                      replay_loss, replay_terms, sample_batch)
 from subnet_unlearn.rng import RngStream
 
 
@@ -113,6 +117,68 @@ def test_replay_loss_empty_buffers_is_zero_with_warning(small_net):
         got = replay_loss(params, {}, {}, 0.5, 4,
                           lambda t: RngStream(0, t, "retrain_order"))
     assert got == 0.0
+
+
+def _replay_setup():
+    """Two buffered tasks, task 1 replayed through a mask and task 2 dense,
+    with weights drifted after storage so the logit distance is nonzero."""
+    arch = build_mlp(3, (4,), 2, 2)
+    params = init_params(arch, RngStream(7, 0, "param_init"))
+    x, y = make_data(10, 3, seed=7)
+    buffers = {t: fill_buffer(x, y, params, None, t, 6, RngStream(7, t, "buffer_sample"))
+               for t in (1, 2)}
+    params.values += 0.05 * RngStream(7, 9, "scenario").normal(arch.d)
+    mask = np.ones(arch.d, dtype=bool)
+    mask[arch.layers[0].start : arch.layers[0].weight_stop : 2] = False
+    batches = draw_replay_batches(buffers, (1, 2), 4,
+                                  lambda t: RngStream(7, t, "retrain_order"))
+    return arch, params, {1: mask}, batches
+
+
+def test_replay_grad_matches_finite_differences_of_its_loss():
+    arch, params, masks, batches = _replay_setup()
+    beta = 0.5
+    ce, dist, grad = replay_grad(params, masks, batches, beta)
+    assert (ce, dist) == replay_terms(params, masks, batches)
+    assert dist > 0.0
+    h = 1e-5
+    for j in range(arch.d):
+        saved = params.values[j]
+        params.values[j] = saved + h
+        ce_up, dist_up = replay_terms(params, masks, batches)
+        params.values[j] = saved - h
+        ce_dn, dist_dn = replay_terms(params, masks, batches)
+        params.values[j] = saved
+        fd = ((ce_up + beta * dist_up) - (ce_dn + beta * dist_dn)) / (2 * h)
+        assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    # Masked-out entries get nothing from task 1, only from dense task 2.
+    assert grad[~masks[1]].any()
+
+
+def test_replay_grad_overwrites_caller_buffers():
+    arch, params, masks, batches = _replay_setup()
+    _, _, fresh = replay_grad(params, masks, batches, 0.5)
+    grad = np.full(arch.d, 3.0)
+    work = GradBuffer(np.full(arch.d, 7.0), np.full(arch.d, 7.0))
+    _, _, got = replay_grad(params, masks, batches, 0.5, grad, work)
+    assert got is grad
+    np.testing.assert_array_equal(got, fresh)
+
+
+def test_buffer_bytes_are_pinned():
+    x = np.arange(12, dtype=np.float64).reshape(4, 3) / 8.0 - 0.5
+    z = np.array([[1.5, -2.25], [0.0, 3.0], [-0.125, 7.0], [1e-3, -1e300]])
+    buffers = {5: ReplayBuffer(5, x[:2] * 3.0, np.array([1, 0]), z[:2]),
+               2: ReplayBuffer(2, x, np.array([0, 1, 1, 0]), z)}
+    data = buffers_to_bytes(buffers)
+    assert len(data) == 360
+    assert hashlib.sha256(data).hexdigest() == (
+        "5055c13a499a5f445d815fb76a03b6144d19b0beccfeee76378f29ad0b6cf612")
+    back = buffers_from_bytes(data)
+    for t in (2, 5):
+        np.testing.assert_array_equal(back[t].x, buffers[t].x)
+        np.testing.assert_array_equal(back[t].y, buffers[t].y)
+        np.testing.assert_array_equal(back[t].z, buffers[t].z)
 
 
 def test_buffer_serialization_round_trip(small_net):
