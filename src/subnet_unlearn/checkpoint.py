@@ -3,7 +3,9 @@
 Layout: magic, version, a little-endian u32 JSON length, the JSON metadata
 (method, hyperparameters, seed, learned sets, stream counters, section
 directory), then the raw sections back to back.  Arrays are stored as
-little-endian float64 bytes, masks in their length-prefixed packed form.
+little-endian float64 bytes; a mask (bool array) as its bit count, a
+little-endian u64, then its bits packed eight to a byte, LSB first.  A file
+shorter than its header and section directory say is rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from . import engine as eng
 from . import rehearsal
-from .masking import BitMask
 from .net import ParamStore
 from .rng import StreamSet
 
@@ -53,12 +54,22 @@ def _unpack(data: bytes) -> dict[int, bytes]:
     return blobs
 
 
-def _masks_bytes(masks: dict[int, BitMask]) -> bytes:
-    return _pack({t: m.to_bytes() for t, m in masks.items()})
+def mask_to_bytes(bits: np.ndarray) -> bytes:
+    return struct.pack("<Q", bits.size) + np.packbits(bits, bitorder="little").tobytes()
 
 
-def _masks_from(data: bytes) -> dict[int, BitMask]:
-    return {t: BitMask.from_bytes(blob) for t, blob in _unpack(data).items()}
+def mask_from_bytes(data: bytes) -> np.ndarray:
+    (n,) = struct.unpack_from("<Q", data, 0)
+    packed = np.frombuffer(data, dtype=np.uint8, offset=8)
+    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+
+
+def _masks_bytes(masks: dict[int, np.ndarray]) -> bytes:
+    return _pack({t: mask_to_bytes(m) for t, m in masks.items()})
+
+
+def _masks_from(data: bytes) -> dict[int, np.ndarray]:
+    return {t: mask_from_bytes(blob) for t, blob in _unpack(data).items()}
 
 
 def save_checkpoint(path, learner: eng.BaseLearner) -> None:
@@ -101,13 +112,23 @@ def save_checkpoint(path, learner: eng.BaseLearner) -> None:
 def load_checkpoint(path) -> eng.BaseLearner:
     with open(path, "rb") as fh:
         data = fh.read()
+    if len(data) < 16:
+        raise ValueError(f"truncated checkpoint: {len(data)} bytes, the header needs 16")
     if data[:8] != MAGIC:
         raise ValueError("not a checkpoint file")
     version, head_len = struct.unpack_from("<II", data, 8)
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    meta = json.loads(data[16 : 16 + head_len])
     pos = 16 + head_len
+    if len(data) < pos:
+        raise ValueError(f"truncated checkpoint: {len(data)} bytes, the header needs {pos}")
+    meta = json.loads(data[16:pos])
+    body = sum(length for _, length in meta["sections"])
+    if len(data) - pos < body:
+        raise ValueError(f"truncated checkpoint: {len(data) - pos} bytes after the "
+                         f"header, its sections need {body}")
+    if len(data) - pos > body:
+        raise ValueError(f"checkpoint has {len(data) - pos - body} bytes after its sections")
     sections = {}
     for name, length in meta["sections"]:
         sections[name] = data[pos : pos + length]
@@ -132,7 +153,6 @@ def load_checkpoint(path) -> eng.BaseLearner:
         learner.registry.masks = _masks_from(sections["masks"])
         learner.ledger.trained_by = _masks_from(sections["ledger"])
         learner.buffers = rehearsal.buffers_from_bytes(sections["buffers"])
-        learner.union_bits = learner.registry.union().bits
     elif isinstance(learner, eng.IndependentLearner):
         learner.stores = {t: ParamStore(learner.arch, _values_from(blob))
                           for t, blob in _unpack(sections["stores"]).items()}

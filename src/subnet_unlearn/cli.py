@@ -95,12 +95,10 @@ def cmd_gen_scenario(args) -> int:
     bad = scenario.validate_sequence(sc.sequence)
     if bad is not None:
         raise SystemExit2(f"generated sequence invalid at {bad[0]}: {bad[1]}")
-    text = scenario.scenario_to_text(sc)
     if args.output == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(scenario.scenario_to_text(sc))
     else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        scenario.write_scenario(args.output, sc)
         print(f"wrote {args.output} ({sc.tasks} tasks, {sc.unlearns} unlearns, "
               "sequence valid)")
     return 0

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net, rehearsal
-from .masking import (BitMask, CapacityError, MaskRegistry, ProvenanceLedger,
-                      affected_params, init_scores, later_tasks, layer_budget,
-                      ste_score_grad, topk_mask)
+from .masking import (CapacityError, MaskRegistry, ProvenanceLedger, affected_params,
+                      init_scores, later_tasks, layer_budget, ste_score_grad, topk_mask)
 from .metrics import AccuracyMatrix, audit_unlearning
 from .net import MlpArch, ParamStore, build_mlp
 from .optim import apply_update, make_optimizer
@@ -197,76 +196,73 @@ class MaskedLearner(BaseLearner):
         self.params = net.init_params(self.arch, self.stream(0, "param_init"))
         self.registry = MaskRegistry(self.arch.d)
         self.ledger = ProvenanceLedger(self.arch.d)
-        self.union_bits = np.zeros(self.arch.d, dtype=bool)
         self.buffers: dict[int, rehearsal.ReplayBuffer] = {}
         self.buffer_capacity = rehearsal.per_task_capacity(hp.buffer_total, self.task_count)
 
     def _learn(self, task: int, data) -> None:
-        free = ~self.union_bits
+        free = ~self.registry.union()
         net.resample(self.params, free, self.stream(task, "param_init"))
         mask = self._train_subnetwork(task, data, free)
         self.registry.add(task, mask)
-        self.ledger.record(task, BitMask(mask.bits & free))
-        self.union_bits = self.union_bits | mask.bits
-        assert np.array_equal(self.union_bits, self.registry.union().bits)
+        self.ledger.record(task, mask & free)
         if self.uses_buffers:
             self.buffers[task] = rehearsal.fill_buffer(
-                data.x_train, data.y_train, self.params, mask.bits, task,
+                data.x_train, data.y_train, self.params, mask, task,
                 self.buffer_capacity, self.stream(task, "buffer_sample"))
-        net.resample(self.params, ~self.union_bits, self.stream(task, "reinit_unused"))
+        net.resample(self.params, ~self.registry.union(), self.stream(task, "reinit_unused"))
 
     def _unlearn(self, task: int) -> None:
         if self.uses_buffers:
             rehearsal.delete_buffer(self.buffers, task)
         owned = self.ledger.owned(task)
-        net.resample(self.params, owned.bits, self.stream(task, "unlearn_reset"))
+        net.resample(self.params, owned, self.stream(task, "unlearn_reset"))
         later = later_tasks(self.omega, task)
         shared = affected_params(self.registry, self.ledger, task, later)
         steps = 0
         diff = 0.0
         if shared.any():
-            reset_vals = self.params.values[shared.bits].copy()
+            reset_vals = self.params.values[shared]
             if self.uses_buffers and self.hp.n_retrain > 0:
                 steps = self.hp.n_retrain
                 self._retrain_shared(later, shared)
-            diff = float(np.abs(self.params.values[shared.bits] - reset_vals).mean())
+            diff = float(np.abs(self.params.values[shared] - reset_vals).mean())
         self.ledger.erase(owned)
         self.ledger.clear(task)
         if steps:
             for tau in later:
-                self.ledger.record(tau, BitMask(shared.bits & self.registry.get(tau).bits))
+                self.ledger.record(tau, shared & self.registry.get(tau))
         self.registry.remove(task)
-        self.union_bits = self.registry.union().bits
-        self.retrain_events.append(RetrainEvent(task, owned.count(), shared.count(), steps, diff))
+        self.retrain_events.append(RetrainEvent(
+            task, int(np.count_nonzero(owned)), int(np.count_nonzero(shared)), steps, diff))
 
-    def _retrain_shared(self, later: list[int], shared: BitMask) -> None:
+    def _retrain_shared(self, later: list[int], shared: np.ndarray) -> None:
         """Recover later tasks' use of the reset entries from their buffers."""
-        masks = {t: self.registry.get(t).bits for t in later}
+        masks = {t: self.registry.get(t) for t in later}
         opt = self._make_opt()
         grad = np.zeros(self.arch.d, dtype=np.float64)
         work = net.GradBuffer.zeros(self.arch.d)
         for _ in range(self.hp.n_retrain):
             self._replay_grad(later, masks, self.hp.beta, grad, work)
-            apply_update(self.params.values, grad, opt, shared.bits)
+            apply_update(self.params.values, grad, opt, shared)
 
     def _score_train(self, task: int, data, free: np.ndarray,
-                     eligible: np.ndarray | None) -> BitMask:
+                     eligible: np.ndarray | None) -> np.ndarray:
         """Optimize selection scores jointly with unfrozen weights."""
         scores = init_scores(self.arch, self.stream(task, "score_init"))
-        score_bits = scores.maskable if eligible is None else eligible
+        score_bits = self.arch.maskable_bits() if eligible is None else eligible
         opt_s = self._make_opt(decay=0.0)
 
         def select() -> np.ndarray:
-            return topk_mask(scores, self.alpha, self.arch, task, eligible).bits
+            return topk_mask(scores, self.alpha, self.arch, task, eligible)
 
         def update_scores(g: net.GradBuffer) -> None:
             sg = ste_score_grad(g.effective, self.params, score_bits)
-            apply_update(scores.values, sg, opt_s, score_bits)
+            apply_update(scores, sg, opt_s, score_bits)
 
-        return BitMask(self._train(task, data, self.params, free, select, update_scores))
+        return self._train(task, data, self.params, free, select, update_scores)
 
     def _predict(self, task: int, x: np.ndarray) -> np.ndarray:
-        logits = net.forward(self.params, self.registry.get(task).bits, task, x)
+        logits = net.forward(self.params, self.registry.get(task), task, x)
         return np.argmax(logits, axis=1)
 
 
@@ -317,7 +313,7 @@ class StaticSparseLearner(DisjointLearner):
                     f"layer {layer.name}: need {k} free entries, only {pool.size} left")
             bits[pool[stream.subset(pool.size, k)]] = True
         bits[self.arch.head_bits(task)] = True
-        return BitMask(self._train(task, data, self.params, bits, bits))
+        return self._train(task, data, self.params, bits, bits)
 
 
 class SequentialLearner(BaseLearner):
@@ -473,13 +469,13 @@ def state_diffs(a: BaseLearner, b: BaseLearner, suite: TaskSuite) -> list[str]:
         diffs.append(f"learned sets differ: {a.omega} vs {b.omega}")
         return diffs
     if isinstance(a, MaskedLearner):
-        if a.registry.tasks() != b.registry.tasks():
+        if sorted(a.registry.masks) != sorted(b.registry.masks):
             diffs.append("mask registries cover different tasks")
         else:
-            for t in a.registry.tasks():
-                if a.registry.get(t) != b.registry.get(t):
+            for t in sorted(a.registry.masks):
+                if not np.array_equal(a.registry.get(t), b.registry.get(t)):
                     diffs.append(f"mask for task {t} differs")
-        union = a.registry.union().bits
+        union = a.registry.union()
         if not np.array_equal(a.params.values[union], b.params.values[union]):
             diffs.append("parameters under the mask union differ")
         for t in sorted(set(a.buffers) | set(getattr(b, "buffers", {}))):

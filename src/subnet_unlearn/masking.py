@@ -1,95 +1,32 @@
 """Per-task bit masks, score-driven top-k selection, and parameter provenance.
 
-A task's mask selects, per maskable layer, the k entries with the largest
-absolute score (k = max(1, round(alpha * layer_size)), ties to the lowest
-flat index) plus every bit of that task's head.  The registry holds the
-final mask of each currently learned task; the provenance ledger records,
-per task, which parameters that task's data has actually written, which is
-what exact unlearning later resets.
+A task's mask is a bool array over the flat parameter space.  It selects,
+per maskable layer, the k entries with the largest absolute score
+(k = max(1, round(alpha * layer_size)), ties to the lowest flat index) plus
+every bit of that task's head.  The registry holds the final mask of each
+currently learned task; the provenance ledger records, per task, which
+parameters that task's data has actually written, which is what exact
+unlearning later resets.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
-from .net import MlpArch, ParamStore
+from .net import MlpArch, ParamStore, kaiming_bound
 
 
 class CapacityError(RuntimeError):
     """A layer has fewer free entries than the mask needs."""
 
 
-@dataclass(frozen=True)
-class BitMask:
-    """Immutable bit vector over the flat parameter space."""
-
-    bits: np.ndarray  # bool, shape (d,)
-
-    @staticmethod
-    def zeros(d: int) -> "BitMask":
-        return BitMask(np.zeros(d, dtype=bool))
-
-    @staticmethod
-    def from_bits(bits: np.ndarray) -> "BitMask":
-        return BitMask(np.asarray(bits, dtype=bool).copy())
-
-    def __and__(self, other: "BitMask") -> "BitMask":
-        return BitMask(self.bits & other.bits)
-
-    def __or__(self, other: "BitMask") -> "BitMask":
-        return BitMask(self.bits | other.bits)
-
-    def __invert__(self) -> "BitMask":
-        return BitMask(~self.bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitMask) and np.array_equal(self.bits, other.bits)
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
-    def any(self) -> bool:
-        return bool(self.bits.any())
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
-
-    def layer_counts(self, arch: MlpArch) -> dict[str, int]:
-        return {l.name: int(np.count_nonzero(self.bits[l.start : l.stop])) for l in arch.layers}
-
-    def to_bytes(self) -> bytes:
-        """Length-prefixed little-endian bit packing."""
-        packed = np.packbits(self.bits, bitorder="little").tobytes()
-        return struct.pack("<Q", self.bits.size) + packed
-
-    @staticmethod
-    def from_bytes(data: bytes) -> "BitMask":
-        (n,) = struct.unpack_from("<Q", data, 0)
-        packed = np.frombuffer(data, dtype=np.uint8, offset=8)
-        bits = np.unpackbits(packed, count=n, bitorder="little").astype(bool)
-        return BitMask(bits)
-
-
-@dataclass
-class ScoreStore:
-    """Importance scores; meaningful only where ``maskable`` is set."""
-
-    values: np.ndarray    # float64, shape (d,)
-    maskable: np.ndarray  # bool, shape (d,); heads are always excluded
-
-
-def init_scores(arch: MlpArch, stream) -> ScoreStore:
-    """Scores drawn like parameters (uniform, +-sqrt(6/fan_in)), heads excluded."""
-    from .net import kaiming_bound
-
-    values = np.zeros(arch.d, dtype=np.float64)
+def init_scores(arch: MlpArch, stream) -> np.ndarray:
+    """Scores drawn like parameters (uniform, +-sqrt(6/fan_in)); heads stay 0."""
+    scores = np.zeros(arch.d, dtype=np.float64)
     for layer in arch.maskable_layers():
         b = kaiming_bound(layer)
-        values[layer.start : layer.stop] = stream.uniform(-b, b, layer.size)
-    return ScoreStore(values, arch.maskable_bits())
+        scores[layer.start : layer.stop] = stream.uniform(-b, b, layer.size)
+    return scores
 
 
 def layer_budget(alpha: float, layer_size: int) -> int:
@@ -97,9 +34,10 @@ def layer_budget(alpha: float, layer_size: int) -> int:
     return max(1, int(np.floor(alpha * layer_size + 0.5)))
 
 
-def topk_mask(scores: ScoreStore, alpha: float, arch: MlpArch, active_task: int,
-              eligible: np.ndarray | None = None) -> BitMask:
-    """Mask with the k largest-|score| entries per layer, plus the active head.
+def topk_mask(scores: np.ndarray, alpha: float, arch: MlpArch, active_task: int,
+              eligible: np.ndarray | None = None) -> np.ndarray:
+    """Mask (bool, d) with the k largest-|score| entries per layer, plus the
+    active head.
 
     ``eligible`` (bool, d) restricts which entries may be picked; the budget k
     still comes from the full layer size, so too few eligible entries raises
@@ -118,12 +56,12 @@ def topk_mask(scores: ScoreStore, alpha: float, arch: MlpArch, active_task: int,
         if pool.size < k:
             raise CapacityError(
                 f"layer {layer.name}: need {k} free entries, only {pool.size} left")
-        mag = np.abs(scores.values[pool])
+        mag = np.abs(scores[pool])
         order = np.lexsort((pool, -mag))  # |score| desc, then index asc
         bits[pool[order[:k]]] = True
     head = arch.head_layer(active_task)
     bits[head.start : head.stop] = True
-    return BitMask(bits)
+    return bits
 
 
 def ste_score_grad(effective_grads: np.ndarray, params: ParamStore,
@@ -139,13 +77,13 @@ def ste_score_grad(effective_grads: np.ndarray, params: ParamStore,
 
 
 class MaskRegistry:
-    """Final mask of every currently learned task."""
+    """Final mask (bool, d) of every currently learned task."""
 
     def __init__(self, d: int):
         self.d = d
-        self.masks: dict[int, BitMask] = {}
+        self.masks: dict[int, np.ndarray] = {}
 
-    def add(self, task: int, mask: BitMask) -> None:
+    def add(self, task: int, mask: np.ndarray) -> None:
         if task in self.masks:
             raise KeyError(f"task {task} already registered")
         self.masks[task] = mask
@@ -153,33 +91,31 @@ class MaskRegistry:
     def remove(self, task: int) -> None:
         del self.masks[task]
 
-    def get(self, task: int) -> BitMask:
+    def get(self, task: int) -> np.ndarray:
         return self.masks[task]
 
-    def tasks(self) -> list[int]:
-        return sorted(self.masks)
-
-    def union(self) -> BitMask:
-        """OR of all registered masks; zero mask when empty."""
+    def union(self) -> np.ndarray:
+        """OR of all registered masks; all False when empty."""
         bits = np.zeros(self.d, dtype=bool)
         for m in self.masks.values():
-            bits |= m.bits
-        return BitMask(bits)
+            bits |= m
+        return bits
 
 
 class ProvenanceLedger:
-    """Which parameters each task's data (or buffer) has written."""
+    """Which parameters (bool, d) each task's data (or buffer) has written."""
 
     def __init__(self, d: int):
         self.d = d
-        self.trained_by: dict[int, BitMask] = {}
+        self.trained_by: dict[int, np.ndarray] = {}
 
-    def record(self, task: int, bits: BitMask) -> None:
-        prev = self.trained_by.get(task, BitMask.zeros(self.d))
-        self.trained_by[task] = prev | bits
+    def record(self, task: int, bits: np.ndarray) -> None:
+        self.trained_by[task] = self.owned(task) | bits
 
-    def erase(self, bits: BitMask) -> None:
-        """Drop the given indices from every task's set (their values were overwritten)."""
+    def erase(self, bits: np.ndarray) -> None:
+        """Drop the given indices from every task's set (their values were
+        overwritten).  Builds new arrays, so an ``owned`` result taken
+        before the erase keeps its bits."""
         inv = ~bits
         for task in list(self.trained_by):
             self.trained_by[task] = self.trained_by[task] & inv
@@ -187,9 +123,9 @@ class ProvenanceLedger:
     def clear(self, task: int) -> None:
         self.trained_by.pop(task, None)
 
-    def owned(self, task: int) -> BitMask:
+    def owned(self, task: int) -> np.ndarray:
         """Parameters currently attributed to the task; empty if none recorded."""
-        return self.trained_by.get(task, BitMask.zeros(self.d))
+        return self.trained_by.get(task, np.zeros(self.d, dtype=bool))
 
 
 def later_tasks(omega, task: int) -> list[int]:
@@ -199,12 +135,12 @@ def later_tasks(omega, task: int) -> list[int]:
 
 
 def affected_params(registry: MaskRegistry, ledger: ProvenanceLedger, task: int,
-                    omega) -> BitMask:
+                    omega) -> np.ndarray:
     """Entries later tasks share with ``task``'s owned set, so resetting them
     requires retraining: OR over tau in later_tasks(omega, task) of m_tau AND
     owned."""
     owned = ledger.owned(task)
     bits = np.zeros(registry.d, dtype=bool)
     for tau in later_tasks(omega, task):
-        bits |= registry.get(tau).bits & owned.bits
-    return BitMask(bits)
+        bits |= registry.get(tau) & owned
+    return bits

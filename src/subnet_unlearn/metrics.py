@@ -164,9 +164,9 @@ def audit_unlearning(ledger: ProvenanceLedger, unlearned, buffers=None,
     """
     problems = []
     for t in sorted(unlearned):
-        if ledger.owned(t).any():
-            problems.append(f"task {t}: ledger still attributes "
-                            f"{ledger.owned(t).count()} parameters")
+        owned = np.count_nonzero(ledger.owned(t))
+        if owned:
+            problems.append(f"task {t}: ledger still attributes {owned} parameters")
         if buffers is not None and t in buffers:
             problems.append(f"task {t}: replay buffer still stored")
         if registry is not None and t in registry.masks:

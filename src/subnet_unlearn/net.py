@@ -288,12 +288,6 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray):
     return loss, dlogits / n
 
 
-def logit_mse(logits: np.ndarray, stored: np.ndarray) -> float:
-    """Mean squared L2 distance between logit vectors."""
-    loss, _ = logit_mse_grad(logits, stored)
-    return loss
-
-
 def logit_mse_grad(logits: np.ndarray, stored: np.ndarray):
     logits = _check_logits(logits)
     stored = _check_logits(stored)

@@ -214,6 +214,8 @@ def scenario_from_text(text: str) -> Scenario:
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected 'key = value'")
             k, v = (p.strip() for p in line.split("=", 1))
+            if k in params:
+                raise ValueError(f"line {lineno}: key {k!r} given twice")
             if k in _INT_KEYS:
                 params[k] = int(v)
             elif k in _FLOAT_KEYS:
@@ -255,7 +257,8 @@ def load_csv_tasks(train_path, test_path) -> TaskSuite:
     """Suite from two CSV files with columns f0..f{k-1}, label, task.
 
     Labels are remapped, per task, to 0..classes-1 in sorted order; every
-    task must expose the same number of classes and appear in both files.
+    task must expose the same number of classes and appear in both files,
+    and the task ids must be exactly 1..T.
     """
     def read(path):
         rows: dict[int, list] = {}
@@ -282,6 +285,9 @@ def load_csv_tasks(train_path, test_path) -> TaskSuite:
         raise ValueError("train and test files have different feature counts")
     if set(train_rows) != set(test_rows):
         raise ValueError("train and test files cover different tasks")
+    if set(train_rows) != set(range(1, len(train_rows) + 1)):
+        raise ValueError(f"task ids {sorted(train_rows)} are not exactly "
+                         f"1..{len(train_rows)}")
     label_maps = {t: {lab: i for i, lab in enumerate(sorted({lab for _, lab in rows}))}
                   for t, rows in train_rows.items()}
     counts = {len(m) for m in label_maps.values()}

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import net, rehearsal
 from .engine import Hyperparams, rewind_oracle
-from .masking import ScoreStore, topk_mask
+from .masking import topk_mask
 from .net import build_mlp, init_params
 from .rng import RngStream
 from .scenario import Request, Scenario
@@ -79,14 +79,14 @@ def check_grad_scores():
 def check_topk():
     """Budget counts and lowest-index tie-breaking of the mask selection."""
     arch = build_mlp(2, (2,), 2, 1)  # one maskable layer of 2*2+2 = 6 entries
-    scores = ScoreStore(np.zeros(arch.d), arch.maskable_bits())
-    scores.values[:6] = [1.0, -1.0, 0.5, 1.0, 0.2, 0.1]
+    scores = np.zeros(arch.d)
+    scores[:6] = [1.0, -1.0, 0.5, 1.0, 0.2, 0.1]
     mask = topk_mask(scores, 0.5, arch, 1)
-    picked = sorted(np.flatnonzero(mask.bits[:6]).tolist())
+    picked = sorted(np.flatnonzero(mask[:6]).tolist())
     if picked != [0, 1, 3]:  # |1.0| tie between 0, 1(sign), 3 -> lowest indices win
         raise AssertionError(f"tie-break picked {picked}, expected [0, 1, 3]")
     full = topk_mask(scores, 1.0, arch, 1)
-    if int(full.bits[:6].sum()) != 6:
+    if int(full[:6].sum()) != 6:
         raise AssertionError("alpha=1 must select the whole layer")
 
 

@@ -80,12 +80,12 @@ def test_learned_subnetwork_is_frozen_bit_exactly():
     suite = sc.suite_for_seed(21)
     learner = make_learner("subnet", suite, TINY_HP, 21)
     learner.learn(1, suite.tasks[1])
-    m1 = learner.registry.get(1).bits.copy()
+    m1 = learner.registry.get(1).copy()
     frozen = learner.params.values[m1].copy()
     preds = learner.predict(1, suite.tasks[1].x_test).copy()
     learner.learn(2, suite.tasks[2])
     learner.learn(3, suite.tasks[3])
-    np.testing.assert_array_equal(learner.registry.get(1).bits, m1)
+    np.testing.assert_array_equal(learner.registry.get(1), m1)
     np.testing.assert_array_equal(learner.params.values[m1], frozen)
     np.testing.assert_array_equal(learner.predict(1, suite.tasks[1].x_test), preds)
 
@@ -97,7 +97,7 @@ def test_unowned_params_hold_no_trained_signal_after_learn():
     suite = sc.suite_for_seed(8)
     learner = make_learner("subnet", suite, TINY_HP, 8)
     learner.learn(1, suite.tasks[1])
-    free = ~learner.registry.union().bits
+    free = ~learner.registry.union()
     replay = learner.params.copy()
     net.resample(replay, free, RngStream(8, 1, "reinit_unused"))
     np.testing.assert_array_equal(replay.values, learner.params.values)
@@ -155,7 +155,7 @@ def test_disjoint_masks_partition_exactly():
     for method in ("static_sparse", "dynamic_sparse"):
         suite, learner, _ = tiny_run(method, [L(1), L(2), L(3)], hp=hp)
         maskable = learner.arch.maskable_bits()
-        masks = [learner.registry.get(t).bits & maskable for t in (1, 2, 3)]
+        masks = [learner.registry.get(t) & maskable for t in (1, 2, 3)]
         assert all(m.sum() == 10 for m in masks)
         assert not (masks[0] & masks[1]).any()
         assert not (masks[0] & masks[2]).any()
@@ -170,7 +170,7 @@ def test_canonical_sequence_bookkeeping_and_audit():
                                       unlearns=3)
     assert learner.omega == [4, 5]
     assert learner.unlearned == {1, 2, 3}
-    assert learner.registry.tasks() == [4, 5]
+    assert sorted(learner.registry.masks) == [4, 5]
     assert sorted(learner.buffers) == [4, 5]
     assert audit_learner(learner) == []
     assert len(learner.retrain_events) == 3
@@ -295,7 +295,7 @@ def test_state_diffs_detects_injected_perturbation():
     for l in (a, b):
         l.learn(1, suite.tasks[1])
     assert state_diffs(a, b, suite) == []
-    j = int(b.registry.get(1).indices()[0])
+    j = int(np.flatnonzero(b.registry.get(1))[0])
     b.params.values[j] += 1e-9
     assert any("parameters" in d for d in state_diffs(a, b, suite))
 
@@ -316,8 +316,8 @@ def test_unlearn_retrains_every_reset_entry_a_retained_mask_uses(seq):
             retained = np.zeros(learner.arch.d, dtype=bool)
             for t in learner.omega:
                 if t != request.task:
-                    retained |= learner.registry.get(t).bits
-            expected = int(np.count_nonzero(learner.ledger.owned(request.task).bits
+                    retained |= learner.registry.get(t)
+            expected = int(np.count_nonzero(learner.ledger.owned(request.task)
                                             & retained))
         process_request(learner, request, suite, matrix)
         if expected is not None:

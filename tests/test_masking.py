@@ -1,13 +1,12 @@
-"""Mask selection budgets and tie-breaks, bitset algebra and serialization,
-score-gradient surrogate, and provenance bookkeeping."""
+"""Mask selection budgets and tie-breaks, score-gradient surrogate, and
+provenance bookkeeping."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnet_unlearn.masking import (BitMask, CapacityError, MaskRegistry,
-                                    ProvenanceLedger, ScoreStore,
+from subnet_unlearn.masking import (CapacityError, MaskRegistry, ProvenanceLedger,
                                     affected_params, init_scores, later_tasks,
                                     layer_budget, ste_score_grad, topk_mask)
 from subnet_unlearn.net import build_mlp, init_params, kaiming_bound
@@ -15,10 +14,18 @@ from subnet_unlearn.rng import RngStream
 
 
 def scores_for(arch, values=None):
-    s = ScoreStore(np.zeros(arch.d), arch.maskable_bits())
+    s = np.zeros(arch.d)
     if values is not None:
-        s.values[: len(values)] = values
+        s[: len(values)] = values
     return s
+
+
+def bits(*values):
+    return np.array(values, dtype=bool)
+
+
+def indices(mask):
+    return np.flatnonzero(mask).tolist()
 
 
 # ---------------------------------------------------------------- budget --
@@ -41,17 +48,17 @@ def test_topk_magnitude_selection_and_lowest_index_ties():
     arch = build_mlp(2, (2,), 2, 1)   # one maskable layer of 6 entries
     scores = scores_for(arch, [1.0, -1.0, 0.5, 1.0, 0.2, 0.1])
     mask = topk_mask(scores, 0.5, arch, 1)
-    assert np.flatnonzero(mask.bits[:6]).tolist() == [0, 1, 3]
+    assert np.flatnonzero(mask[:6]).tolist() == [0, 1, 3]
     full = topk_mask(scores, 1.0, arch, 1)
-    assert full.bits[:6].all()
+    assert full[:6].all()
 
 
 def test_topk_sets_only_active_head():
     arch = build_mlp(2, (2,), 2, 3)
     mask = topk_mask(scores_for(arch), 0.5, arch, 2)
-    assert mask.bits[arch.head_bits(2)].all()
-    assert not mask.bits[arch.head_bits(1)].any()
-    assert not mask.bits[arch.head_bits(3)].any()
+    assert mask[arch.head_bits(2)].all()
+    assert not mask[arch.head_bits(1)].any()
+    assert not mask[arch.head_bits(3)].any()
 
 
 def test_topk_respects_eligible_pool():
@@ -60,7 +67,7 @@ def test_topk_respects_eligible_pool():
     eligible = arch.maskable_bits().copy()
     eligible[:2] = False   # best two entries out of bounds
     mask = topk_mask(scores, 0.5, arch, 1, eligible=eligible)
-    assert np.flatnonzero(mask.bits[:6]).tolist() == [2, 3, 4]
+    assert np.flatnonzero(mask[:6]).tolist() == [2, 3, 4]
 
 
 def test_topk_capacity_error_when_pool_too_small():
@@ -85,22 +92,22 @@ def test_topk_budget_property(seed, alpha):
     scores = init_scores(arch, RngStream(seed, 0, "score_init"))
     mask = topk_mask(scores, alpha, arch, 1)
     for layer in arch.maskable_layers():
-        got = int(mask.bits[layer.start : layer.stop].sum())
+        got = int(mask[layer.start : layer.stop].sum())
         assert got == layer_budget(alpha, layer.size)
-    assert mask.bits[arch.head_bits(1)].all()
-    assert not mask.bits[arch.head_bits(2)].any()
+    assert mask[arch.head_bits(1)].all()
+    assert not mask[arch.head_bits(2)].any()
     # Deterministic in its inputs.
     again = topk_mask(scores, alpha, arch, 1)
-    assert mask == again
+    np.testing.assert_array_equal(mask, again)
 
 
 def test_init_scores_bounded_and_only_maskable():
     arch = build_mlp(3, (5,), 2, 2)
     scores = init_scores(arch, RngStream(0, 1, "score_init"))
     layer = arch.maskable_layers()[0]
-    chunk = scores.values[layer.start : layer.stop]
+    chunk = scores[layer.start : layer.stop]
     assert np.abs(chunk).max() < kaiming_bound(layer)
-    assert np.all(scores.values[~arch.maskable_bits()] == 0.0)
+    assert np.all(scores[~arch.maskable_bits()] == 0.0)
 
 
 # ------------------------------------------------------------------- ste --
@@ -127,65 +134,38 @@ def test_ste_score_grad_is_linear_in_effective_grads():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-# ---------------------------------------------------------------- bitset --
-
-def test_bitmask_algebra():
-    a = BitMask.from_bits(np.array([1, 1, 0, 0], dtype=bool))
-    b = BitMask.from_bits(np.array([0, 1, 1, 0], dtype=bool))
-    assert (a & b).indices().tolist() == [1]
-    assert (a | b).indices().tolist() == [0, 1, 2]
-    assert (~a).indices().tolist() == [2, 3]
-    assert a.count() == 2 and a.any()
-    assert not BitMask.zeros(4).any()
-    assert a == BitMask.from_bits(np.array([1, 1, 0, 0], dtype=bool))
-    assert a != b
-
-
-@given(st.lists(st.booleans(), min_size=1, max_size=100))
-@settings(max_examples=80, deadline=None)
-def test_bitmask_bytes_round_trip(bits):
-    mask = BitMask.from_bits(np.array(bits, dtype=bool))
-    back = BitMask.from_bytes(mask.to_bytes())
-    assert back == mask
-    assert back.bits.shape == mask.bits.shape
-
-
-def test_layer_counts_names_layers():
-    arch = build_mlp(2, (2,), 2, 1)
-    bits = np.zeros(arch.d, dtype=bool)
-    bits[:3] = True
-    counts = BitMask.from_bits(bits).layer_counts(arch)
-    assert counts["hidden0"] == 3
-    assert counts["head1"] == 0
-
-
 # -------------------------------------------------------------- registry --
 
 def test_registry_add_remove_union():
     reg = MaskRegistry(6)
-    m1 = BitMask.from_bits(np.array([1, 1, 0, 0, 0, 0], dtype=bool))
-    m2 = BitMask.from_bits(np.array([0, 1, 1, 0, 0, 0], dtype=bool))
+    m1 = bits(1, 1, 0, 0, 0, 0)
+    m2 = bits(0, 1, 1, 0, 0, 0)
     reg.add(1, m1)
     reg.add(2, m2)
-    assert reg.tasks() == [1, 2]
-    assert reg.union().indices().tolist() == [0, 1, 2]
+    assert sorted(reg.masks) == [1, 2]
+    assert indices(reg.union()) == [0, 1, 2]
     with pytest.raises(KeyError):
         reg.add(1, m1)
     reg.remove(1)
-    assert reg.union().indices().tolist() == [1, 2]
+    assert indices(reg.union()) == [1, 2]
+    assert indices(m2) == [1, 2]  # the union is a new array
     with pytest.raises(KeyError):
         reg.get(1)
 
 
 def test_ledger_record_merge_erase_clear():
     led = ProvenanceLedger(6)
-    led.record(1, BitMask.from_bits(np.array([1, 0, 1, 0, 0, 0], dtype=bool)))
-    led.record(1, BitMask.from_bits(np.array([0, 1, 0, 0, 0, 0], dtype=bool)))
-    assert led.owned(1).indices().tolist() == [0, 1, 2]
-    led.record(2, BitMask.from_bits(np.array([0, 0, 1, 1, 0, 0], dtype=bool)))
-    led.erase(BitMask.from_bits(np.array([1, 0, 1, 0, 0, 0], dtype=bool)))
-    assert led.owned(1).indices().tolist() == [1]
-    assert led.owned(2).indices().tolist() == [3]
+    led.record(1, bits(1, 0, 1, 0, 0, 0))
+    led.record(1, bits(0, 1, 0, 0, 0, 0))
+    assert indices(led.owned(1)) == [0, 1, 2]
+    led.record(2, bits(0, 0, 1, 1, 0, 0))
+    before = led.owned(1)
+    led.erase(bits(1, 0, 1, 0, 0, 0))
+    assert indices(led.owned(1)) == [1]
+    assert indices(led.owned(2)) == [3]
+    # An unlearn reads what the task owned after erasing it: erase builds
+    # new arrays and leaves an earlier owned() result as it was.
+    assert indices(before) == [0, 1, 2]
     led.clear(1)
     assert not led.owned(1).any()
     assert not led.owned(99).any()  # absent task owns nothing
@@ -194,14 +174,14 @@ def test_ledger_record_merge_erase_clear():
 def test_affected_params_filters_later_tasks_only():
     reg = MaskRegistry(8)
     led = ProvenanceLedger(8)
-    led.record(1, BitMask.from_bits(np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=bool)))
-    reg.add(2, BitMask.from_bits(np.array([0, 1, 0, 0, 0, 1, 0, 0], dtype=bool)))
-    reg.add(3, BitMask.from_bits(np.array([0, 0, 1, 0, 0, 0, 0, 1], dtype=bool)))
+    led.record(1, bits(1, 1, 1, 0, 0, 0, 0, 0))
+    reg.add(2, bits(0, 1, 0, 0, 0, 1, 0, 0))
+    reg.add(3, bits(0, 0, 1, 0, 0, 0, 0, 1))
     got = affected_params(reg, led, 1, [2, 3])
-    assert got.indices().tolist() == [1, 2]
+    assert indices(got) == [1, 2]
     # Earlier tasks are frozen snapshots, never retrained.
-    led.record(2, BitMask.from_bits(np.array([0, 0, 0, 0, 0, 1, 0, 0], dtype=bool)))
-    reg.add(1, BitMask.from_bits(np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=bool)))
+    led.record(2, bits(0, 0, 0, 0, 0, 1, 0, 0))
+    reg.add(1, bits(1, 1, 1, 0, 0, 0, 0, 0))
     assert not affected_params(reg, led, 2, [1, 3]).any()
 
 

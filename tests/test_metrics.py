@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from subnet_unlearn.engine import Hyperparams, RetrainEvent, run_sequence
-from subnet_unlearn.masking import BitMask, MaskRegistry, ProvenanceLedger
+from subnet_unlearn.masking import MaskRegistry, ProvenanceLedger
 from subnet_unlearn.metrics import (AccuracyMatrix, aggregate,
                                     audit_unlearning, build_report,
                                     final_accuracies, forgetting,
@@ -140,14 +140,14 @@ def test_retrain_stats_hand_values():
 def test_audit_passes_on_clean_state():
     led = ProvenanceLedger(8)
     reg = MaskRegistry(8)
-    led.record(2, BitMask.from_bits(np.arange(8) < 2))
-    reg.add(2, BitMask.from_bits(np.arange(8) < 3))
+    led.record(2, np.arange(8) < 2)
+    reg.add(2, np.arange(8) < 3)
     assert audit_unlearning(led, {1}, buffers={2: object()}, registry=reg) == []
 
 
 def test_audit_reports_each_violation_kind():
     led = ProvenanceLedger(8)
-    led.record(1, BitMask.from_bits(np.arange(8) < 1))
+    led.record(1, np.arange(8) < 1)
     problems = audit_unlearning(led, {1})
     assert len(problems) == 1 and "task 1" in problems[0]
 
@@ -156,12 +156,12 @@ def test_audit_reports_each_violation_kind():
     assert len(problems) == 1 and "buffer" in problems[0]
 
     reg = MaskRegistry(8)
-    reg.add(1, BitMask.zeros(8))
+    reg.add(1, np.zeros(8, dtype=bool))
     problems = audit_unlearning(led, {1}, registry=reg)
     assert len(problems) == 1 and "mask" in problems[0]
 
     # All three at once, all named.
-    led.record(1, BitMask.from_bits(np.arange(8) < 1))
+    led.record(1, np.arange(8) < 1)
     problems = audit_unlearning(led, {1}, buffers={1: object()}, registry=reg)
     assert len(problems) == 3
 

@@ -7,8 +7,8 @@ import pytest
 from subnet_unlearn import net
 from subnet_unlearn.net import (ParamStore, backward, build_mlp, cross_entropy,
                                 cross_entropy_grad, forward, forward_trace,
-                                init_params, kaiming_bound, logit_mse,
-                                logit_mse_grad, resample,
+                                init_params, kaiming_bound, logit_mse_grad,
+                                resample,
                                 uniform_cross_entropy_grad)
 from subnet_unlearn.optim import apply_update, make_optimizer
 from subnet_unlearn.rng import RngStream
@@ -150,12 +150,12 @@ def test_cross_entropy_grad_matches_softmax_identity():
 
 def test_logit_mse_examples():
     # One sample, diff (1, -1): squared L2 = 2.
-    assert logit_mse(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) == pytest.approx(
+    assert logit_mse_grad(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))[0] == pytest.approx(
         2.0, abs=1e-12)
     # Two samples with squared norms 2 and 4: mean 3.
     logits = np.array([[1.0, 1.0], [2.0, 0.0]])
     stored = np.zeros((2, 2))
-    assert logit_mse(logits, stored) == pytest.approx(3.0, abs=1e-12)
+    assert logit_mse_grad(logits, stored)[0] == pytest.approx(3.0, abs=1e-12)
     loss, grad = logit_mse_grad(logits, stored)
     assert loss == pytest.approx(3.0, abs=1e-12)
     np.testing.assert_allclose(grad, 2.0 * logits / 2, atol=1e-15)

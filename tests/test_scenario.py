@@ -130,6 +130,13 @@ def test_scenario_text_rejects_tampering():
         scenario_from_text("just junk")
 
 
+def test_scenario_text_rejects_repeated_key_with_its_line():
+    text = scenario_to_text(build_scenario(7, 3, 1))
+    lineno = text.splitlines().index("tasks = 3") + 2
+    with pytest.raises(ValueError, match=f"line {lineno}: key 'tasks' given twice"):
+        scenario_from_text(text.replace("tasks = 3", "tasks = 3\ntasks = 3"))
+
+
 def test_scenario_rejects_bad_params():
     with pytest.raises(ValueError):
         build_scenario(0, 0, 0)
@@ -174,3 +181,13 @@ def test_load_csv_tasks_rejects_malformed(tmp_path):
     _write_csv(test, ["0,0,1,0,1", "1,2,3,0,2"])
     with pytest.raises(ValueError):
         load_csv_tasks(train, test)
+
+
+def test_load_csv_tasks_rejects_ids_other_than_one_to_t(tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    for ids in ((7, 9), (0, 1), (1, 3), (2,)):
+        rows = [f"{t}.0,0.0,1.0,{c},{t}" for t in ids for c in (0, 1)]
+        _write_csv(train, rows)
+        _write_csv(test, rows)
+        with pytest.raises(ValueError, match="not exactly 1.."):
+            load_csv_tasks(train, test)
