@@ -2,10 +2,12 @@
 
 Layout: magic, version, a little-endian u32 JSON length, the JSON metadata
 (method, hyperparameters, seed, learned sets, stream counters, section
-directory), then the raw sections back to back.  Arrays are stored as
-little-endian float64 bytes; a mask (bool array) as its bit count, a
-little-endian u64, then its bits packed eight to a byte, LSB first.  A file
-shorter than its header and section directory say is rejected.
+directory), then the raw sections back to back.  The sections are the
+learner's ``sections()``, in its order, each written by its ``CODECS``
+entry.  Arrays are stored as little-endian float64 bytes; a mask (bool
+array) as its bit count, a little-endian u64, then its bits packed eight to
+a byte, LSB first.  A file shorter than its header and section directory
+say, or whose sections are not its method's, is rejected.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from . import engine as eng
 from . import rehearsal
-from .net import ParamStore
 from .rng import StreamSet
+from .scenario import SuiteSpec
 
 MAGIC = b"SUBNETCK"
 VERSION = 1
@@ -64,28 +66,26 @@ def mask_from_bytes(data: bytes) -> np.ndarray:
     return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
 
 
-def _masks_bytes(masks: dict[int, np.ndarray]) -> bytes:
-    return _pack({t: mask_to_bytes(m) for t, m in masks.items()})
+def _per_task(encode, decode):
+    """Codec for a dict from task id to one blob each, ids ascending."""
+    return (lambda state: _pack({t: encode(v) for t, v in state.items()}),
+            lambda data, state: state.update({t: decode(blob)
+                                              for t, blob in _unpack(data).items()}))
 
 
-def _masks_from(data: bytes) -> dict[int, np.ndarray]:
-    return {t: mask_from_bytes(blob) for t, blob in _unpack(data).items()}
+# Section name -> (encode the live state, decode bytes into the live state).
+CODECS = {
+    "params": (_values_bytes, lambda data, values: np.copyto(values, _values_from(data))),
+    "masks": _per_task(mask_to_bytes, mask_from_bytes),
+    "ledger": _per_task(mask_to_bytes, mask_from_bytes),
+    "buffers": (rehearsal.buffers_to_bytes,
+                lambda data, state: state.update(rehearsal.buffers_from_bytes(data))),
+    "stores": _per_task(_values_bytes, _values_from),
+}
 
 
 def save_checkpoint(path, learner: eng.BaseLearner) -> None:
-    sections: list[tuple[str, bytes]] = []
-    if isinstance(learner, eng.MaskedLearner):
-        sections.append(("params", _values_bytes(learner.params.values)))
-        sections.append(("masks", _masks_bytes(learner.registry.masks)))
-        sections.append(("ledger", _masks_bytes(learner.ledger.trained_by)))
-        sections.append(("buffers", rehearsal.buffers_to_bytes(learner.buffers)))
-    elif isinstance(learner, eng.IndependentLearner):
-        sections.append(("stores", _pack({t: _values_bytes(p.values)
-                                          for t, p in learner.stores.items()})))
-    else:
-        sections.append(("params", _values_bytes(learner.params.values)))
-        if isinstance(learner, eng.ReplayLearner):
-            sections.append(("buffers", rehearsal.buffers_to_bytes(learner.buffers)))
+    sections = [(name, CODECS[name][0](state)) for name, state in learner.sections().items()]
     hp = asdict(learner.hp)
     hp["hidden"] = list(hp["hidden"])
     meta = {
@@ -129,15 +129,8 @@ def load_checkpoint(path) -> eng.BaseLearner:
                          f"header, its sections need {body}")
     if len(data) - pos > body:
         raise ValueError(f"checkpoint has {len(data) - pos - body} bytes after its sections")
-    sections = {}
-    for name, length in meta["sections"]:
-        sections[name] = data[pos : pos + length]
-        pos += length
-
     hp = eng.Hyperparams(**{**meta["hyperparams"],
                             "hidden": tuple(meta["hyperparams"]["hidden"])})
-    from .scenario import SuiteSpec
-
     spec = SuiteSpec(meta["input_dim"], meta["classes_per_task"], meta["task_count"])
     learner = eng.make_learner(meta["method"], spec, hp, meta["master_seed"])
     learner.omega = list(meta["omega"])
@@ -148,16 +141,12 @@ def load_checkpoint(path) -> eng.BaseLearner:
         counters[(int(t), p)] = c
     learner.streams = StreamSet(meta["master_seed"], counters)
     learner.retrain_events = [eng.RetrainEvent(**e) for e in meta["retrain_events"]]
-    if isinstance(learner, eng.MaskedLearner):
-        learner.params.values[:] = _values_from(sections["params"])
-        learner.registry.masks = _masks_from(sections["masks"])
-        learner.ledger.trained_by = _masks_from(sections["ledger"])
-        learner.buffers = rehearsal.buffers_from_bytes(sections["buffers"])
-    elif isinstance(learner, eng.IndependentLearner):
-        learner.stores = {t: ParamStore(learner.arch, _values_from(blob))
-                          for t, blob in _unpack(sections["stores"]).items()}
-    else:
-        learner.params.values[:] = _values_from(sections["params"])
-        if isinstance(learner, eng.ReplayLearner):
-            learner.buffers = rehearsal.buffers_from_bytes(sections["buffers"])
+    live = learner.sections()
+    names = [name for name, _ in meta["sections"]]
+    if names != list(live):
+        raise ValueError(f"checkpoint sections {names} do not fit method "
+                         f"{learner.method!r}, which keeps {list(live)}")
+    for (name, length), state in zip(meta["sections"], live.values()):
+        CODECS[name][1](data[pos : pos + length], state)
+        pos += length
     return learner

@@ -14,6 +14,9 @@ learn starts by redrawing all unfrozen parameters from the incoming task's
 init stream.  Both together make rewinding exact: running
 [... learn t, unlearn t, suffix ...] leaves every retained mask, buffer,
 and masked parameter bit-identical to the run without the pair.
+
+Each learner names its state in ``sections()``, read by checkpoints and
+``state_diffs``: the flat parameters, or per-task arrays or replay buffers.
 """
 
 from __future__ import annotations
@@ -261,6 +264,10 @@ class MaskedLearner(BaseLearner):
 
         return self._train(task, data, self.params, free, select, update_scores)
 
+    def sections(self) -> dict:
+        return {"params": self.params.values, "masks": self.registry.masks,
+                "ledger": self.ledger.trained_by, "buffers": self.buffers}
+
     def _predict(self, task: int, x: np.ndarray) -> np.ndarray:
         logits = net.forward(self.params, self.registry.get(task), task, x)
         return np.argmax(logits, axis=1)
@@ -331,6 +338,9 @@ class SequentialLearner(BaseLearner):
     def _unlearn(self, task) -> None:
         pass  # parameters keep whatever they learned
 
+    def sections(self) -> dict:
+        return {"params": self.params.values}
+
     def _predict(self, task, x):
         return np.argmax(net.forward(self.params, None, task, x), axis=1)
 
@@ -350,6 +360,9 @@ class ReplayLearner(SequentialLearner):
         # Replay gradient and backward workspace, overwritten by every step.
         self._grad = np.zeros(self.arch.d, dtype=np.float64)
         self._work = net.GradBuffer.zeros(self.arch.d)
+
+    def sections(self) -> dict:
+        return {"params": self.params.values, "buffers": self.buffers}
 
     def _step_grads(self, g: net.GradBuffer, exclude: int | None = None) -> np.ndarray:
         """The step's own gradient plus replay over every other buffered task."""
@@ -395,18 +408,21 @@ class IndependentLearner(BaseLearner):
 
     def __init__(self, suite, hp, master_seed):
         super().__init__(suite, hp, master_seed)
-        self.stores: dict[int, ParamStore] = {}
+        self.stores: dict[int, np.ndarray] = {}  # task -> its model's values
 
     def _learn(self, task, data) -> None:
         params = net.init_params(self.arch, self.stream(task, "param_init"))
         self._train(task, data, params, self._dense_update_bits(task))
-        self.stores[task] = params
+        self.stores[task] = params.values
 
     def _unlearn(self, task) -> None:
         del self.stores[task]
 
+    def sections(self) -> dict:
+        return {"stores": self.stores}
+
     def _predict(self, task, x):
-        return np.argmax(net.forward(self.stores[task], None, task, x), axis=1)
+        return np.argmax(net.forward(ParamStore(self.arch, self.stores[task]), None, task, x), axis=1)
 
 
 LEARNERS = {cls.method: cls for cls in (
@@ -458,37 +474,35 @@ def audit_learner(learner: BaseLearner) -> list[str]:
     return problems
 
 
+def _bit_equal(u, v) -> bool:
+    """Bit-equality of two arrays, or of two replay buffers' x, y and z."""
+    if isinstance(u, rehearsal.ReplayBuffer):
+        return all(np.array_equal(getattr(u, f), getattr(v, f)) for f in "xyz")
+    return np.array_equal(u, v)
+
+
 def state_diffs(a: BaseLearner, b: BaseLearner, suite: TaskSuite) -> list[str]:
     """Differences between two learners' visible state; empty means bit-equal.
 
-    Compares registered masks, buffers, parameters under the mask union, and
-    predictions for every task still learned.
+    Compares every state section of two same-method learners and the
+    predictions for every task still learned.  A masked learner's parameters
+    count only under the mask union: outside it they hold unused draws.
     """
-    diffs: list[str] = []
     if a.omega != b.omega:
-        diffs.append(f"learned sets differ: {a.omega} vs {b.omega}")
-        return diffs
-    if isinstance(a, MaskedLearner):
-        if sorted(a.registry.masks) != sorted(b.registry.masks):
-            diffs.append("mask registries cover different tasks")
+        return [f"learned sets differ: {a.omega} vs {b.omega}"]
+    diffs: list[str] = []
+    theirs = b.sections()
+    for name, sec in a.sections().items():
+        other = theirs[name]
+        if name == "params":
+            keep = a.registry.union() if isinstance(a, MaskedLearner) else slice(None)
+            if not np.array_equal(sec[keep], other[keep]):
+                diffs.append("parameters differ")
+        elif sorted(sec) != sorted(other):
+            diffs.append(f"{name} cover different tasks: {sorted(sec)} vs {sorted(other)}")
         else:
-            for t in sorted(a.registry.masks):
-                if not np.array_equal(a.registry.get(t), b.registry.get(t)):
-                    diffs.append(f"mask for task {t} differs")
-        union = a.registry.union()
-        if not np.array_equal(a.params.values[union], b.params.values[union]):
-            diffs.append("parameters under the mask union differ")
-        for t in sorted(set(a.buffers) | set(getattr(b, "buffers", {}))):
-            buf_a, buf_b = a.buffers.get(t), b.buffers.get(t)
-            if buf_a is None or buf_b is None:
-                diffs.append(f"buffer presence differs for task {t}")
-            elif not (np.array_equal(buf_a.x, buf_b.x) and np.array_equal(buf_a.y, buf_b.y)
-                      and np.array_equal(buf_a.z, buf_b.z)):
-                diffs.append(f"buffer for task {t} differs")
-    if isinstance(a, IndependentLearner):
-        for t in a.omega:
-            if not np.array_equal(a.stores[t].values, b.stores[t].values):
-                diffs.append(f"model for task {t} differs")
+            diffs += [f"{name} for task {t} differ" for t in sorted(sec)
+                      if not _bit_equal(sec[t], other[t])]
     for t in a.omega:
         d = suite.tasks[t]
         if not np.array_equal(a.predict(t, d.x_test), b.predict(t, d.x_test)):

@@ -47,9 +47,6 @@ class AccuracyMatrix:
         correct, total = pair
         return correct / total
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 @dataclass
 class MetricReport:

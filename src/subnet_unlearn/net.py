@@ -110,9 +110,6 @@ class ParamStore:
     def bias(self, layer: LayerSpec) -> np.ndarray:
         return self.values[layer.weight_stop : layer.stop]
 
-    def copy(self) -> "ParamStore":
-        return ParamStore(self.arch, self.values.copy())
-
 
 def kaiming_bound(layer: LayerSpec) -> float:
     return float(np.sqrt(6.0 / layer.fan_in))

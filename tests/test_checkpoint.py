@@ -1,7 +1,10 @@
 """Checkpoint bytes: the packed mask codec, golden file hashes for every
-method, and rejection of truncated files."""
+method, and rejection of truncated files and of sections that do not fit
+the method."""
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -77,4 +80,24 @@ def test_checkpoint_with_trailing_bytes_is_rejected(tmp_path):
     path = tmp_path / "state.bin"
     path.write_bytes(checkpoint_bytes("subnet", path) + b"\0")
     with pytest.raises(ValueError, match="1 bytes after its sections"):
+        load_checkpoint(path)
+
+
+def relabelled(data: bytes, method: str) -> bytes:
+    """The checkpoint with its header's method replaced, header length fixed."""
+    (head_len,) = struct.unpack_from("<I", data, 12)
+    meta = json.loads(data[16 : 16 + head_len])
+    meta["method"] = method
+    head = json.dumps(meta, sort_keys=True).encode()
+    return data[:12] + struct.pack("<I", len(head)) + head + data[16 + head_len :]
+
+
+@pytest.mark.parametrize("method", ["sequential", "er", "independent"])
+def test_checkpoint_relabelled_to_another_method_is_rejected(method, tmp_path):
+    path = tmp_path / "state.bin"
+    data = checkpoint_bytes("subnet", path)
+    path.write_bytes(relabelled(data, "subnet"))
+    assert load_checkpoint(path).method == "subnet"  # the rewrite itself is sound
+    path.write_bytes(relabelled(data, method))
+    with pytest.raises(ValueError, match=f"do not fit method '{method}'"):
         load_checkpoint(path)

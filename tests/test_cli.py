@@ -128,6 +128,15 @@ def test_run_audit_failure_is_exit_4(tmp_path, capsys, monkeypatch):
     assert "audit: task 1: residue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed, error", [(43, "ValueError: non-finite logits"),
+                                         (44, "FloatingPointError: non-finite gradient")])
+def test_run_divergence_is_exit_5(seed, error, tmp_path, capsys):
+    rc = run_cli("run", "--method", "derpp", "--tasks", "5", "--unlearns", "3",
+                 "--master-seed", str(seed), "--outdir", str(tmp_path))
+    assert rc == 5
+    assert capsys.readouterr().err == f"seed {seed}: {error}\n"
+
+
 def test_run_checkpoint_round_trips(tmp_path):
     assert run_cli("run", "--method", "independent", "--checkpoint",
                    "--outdir", str(tmp_path), *FAST_RUN) == 0

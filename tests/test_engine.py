@@ -98,7 +98,7 @@ def test_unowned_params_hold_no_trained_signal_after_learn():
     learner = make_learner("subnet", suite, TINY_HP, 8)
     learner.learn(1, suite.tasks[1])
     free = ~learner.registry.union()
-    replay = learner.params.copy()
+    replay = net.ParamStore(learner.arch, learner.params.values.copy())
     net.resample(replay, free, RngStream(8, 1, "reinit_unused"))
     np.testing.assert_array_equal(replay.values, learner.params.values)
 
@@ -256,26 +256,30 @@ def test_buffers_respect_per_task_capacity():
 
 # ------------------------------------------------------------ checkpoints --
 
-@pytest.mark.parametrize("method", ["subnet", "derpp", "independent",
-                                    "sequential"])
+ROUND_TRIP = tiny_scenario(13, tasks=4, unlearns=2)
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_checkpoint_round_trip_preserves_behavior(method, tmp_path):
-    sc = tiny_scenario(13)
-    suite = sc.suite_for_seed(13)
-    learner = make_learner(method, suite, TINY_HP, 13)
-    learner.learn(1, suite.tasks[1])
-    learner.learn(2, suite.tasks[2])
-    learner.unlearn(2)
-    path = tmp_path / "state.bin"
-    save_checkpoint(path, learner)
-    restored = load_checkpoint(path)
-    # Both continue identically: same next request, bit-equal state.
-    learner.learn(3, suite.tasks[3])
-    restored.learn(3, suite.tasks[3])
-    assert state_diffs(learner, restored, suite) == []
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_checkpoint(p1, learner)
-    save_checkpoint(p2, restored)
-    assert p1.read_bytes() == p2.read_bytes()
+    # At every split point: save, load, finish the sequence from the loaded
+    # learner.  The result must equal one uninterrupted run, bit for bit.
+    suite = ROUND_TRIP.suite_for_seed(13)
+    seq = ROUND_TRIP.sequence_for_seed(13)
+    assert len({r.kind for r in seq}) == 2
+    whole, _ = run_sequence(method, suite, TINY_HP, 13, seq)
+    save_checkpoint(tmp_path / "whole.bin", whole)
+    expected = (tmp_path / "whole.bin").read_bytes()
+    for split in range(len(seq) + 1):
+        learner = make_learner(method, suite, TINY_HP, 13)
+        for request in seq[:split]:
+            process_request(learner, request, suite, AccuracyMatrix())
+        save_checkpoint(tmp_path / "split.bin", learner)
+        restored = load_checkpoint(tmp_path / "split.bin")
+        for request in seq[split:]:
+            process_request(restored, request, suite, AccuracyMatrix())
+        assert state_diffs(whole, restored, suite) == [], split
+        save_checkpoint(tmp_path / "end.bin", restored)
+        assert (tmp_path / "end.bin").read_bytes() == expected, split
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
@@ -298,6 +302,9 @@ def test_state_diffs_detects_injected_perturbation():
     j = int(np.flatnonzero(b.registry.get(1))[0])
     b.params.values[j] += 1e-9
     assert any("parameters" in d for d in state_diffs(a, b, suite))
+    b.ledger.trained_by[1] = b.ledger.trained_by[1].copy()
+    b.ledger.trained_by[1][j] = False
+    assert "ledger for task 1 differ" in state_diffs(a, b, suite)
 
 
 @pytest.mark.xfail(strict=True, reason=(
