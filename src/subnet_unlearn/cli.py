@@ -22,7 +22,7 @@ import time
 
 from . import checkpoint as ckpt
 from . import engine as eng
-from . import metrics, scenario
+from . import metrics, rehearsal, scenario
 from .masking import CapacityError
 
 CSV_COLUMNS = ["method", "T", "N_u", "seed", "A_l", "A_u", "F_l", "F_u",
@@ -106,6 +106,8 @@ def _hyperparams_from_args(args) -> eng.Hyperparams:
     try:
         hidden = tuple(int(h) for h in args.hidden.split(",") if h)
     except ValueError:
+        hidden = ()
+    if not hidden or min(hidden) < 1:
         raise SystemExit2(f"bad --hidden {args.hidden!r}, expected e.g. 64,64")
     hp = eng.Hyperparams(
         alpha=args.alpha, epochs=args.epochs, batch_size=args.batch_size,
@@ -122,6 +124,11 @@ def _hyperparams_from_args(args) -> eng.Hyperparams:
 def cmd_run(args) -> int:
     sc = _scenario_from_args(args)
     hp = _hyperparams_from_args(args)
+    if eng.LEARNERS[args.method].uses_buffers:
+        try:
+            rehearsal.per_task_capacity(hp.buffer_total, sc.tasks)
+        except ValueError as e:
+            raise SystemExit2(f"--buffer-total: {e}")
     out = _outdir(args)
     seeds = scenario.seed_plan(sc.seed, args.seeds)
     rows = []

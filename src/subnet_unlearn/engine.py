@@ -68,6 +68,8 @@ class Hyperparams:
             raise ValueError("beta must be >= 0")
         if self.optimizer not in ("sgd_momentum", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.buffer_total < 0:
+            raise ValueError("buffer_total must be >= 0")
 
 
 @dataclass
@@ -84,6 +86,7 @@ class RetrainEvent:
 class BaseLearner:
     method = "base"
     keeps_masks = False   # exact methods answer unlearned tasks at random
+    uses_buffers = False  # keeps a replay buffer per learned task
 
     def __init__(self, suite: TaskSuite, hp: Hyperparams, master_seed: int):
         hp.validate()
@@ -97,6 +100,9 @@ class BaseLearner:
         self.omega: list[int] = []       # currently learned, in learn order
         self.ever_learned: set[int] = set()
         self.retrain_events: list[RetrainEvent] = []
+        if self.uses_buffers:
+            self.buffer_capacity = rehearsal.per_task_capacity(hp.buffer_total,
+                                                               self.task_count)
 
     # -- request surface ---------------------------------------------------
     def learn(self, task: int, data) -> None:
@@ -192,7 +198,6 @@ class MaskedLearner(BaseLearner):
     """Single shared store plus per-task masks and provenance tracking."""
 
     keeps_masks = True
-    uses_buffers = False
 
     def __init__(self, suite, hp, master_seed):
         super().__init__(suite, hp, master_seed)
@@ -200,7 +205,6 @@ class MaskedLearner(BaseLearner):
         self.registry = MaskRegistry(self.arch.d)
         self.ledger = ProvenanceLedger(self.arch.d)
         self.buffers: dict[int, rehearsal.ReplayBuffer] = {}
-        self.buffer_capacity = rehearsal.per_task_capacity(hp.buffer_total, self.task_count)
 
     def _learn(self, task: int, data) -> None:
         free = ~self.registry.union()
@@ -350,13 +354,13 @@ class ReplayLearner(SequentialLearner):
     term at weight beta."""
 
     method = "er"
+    uses_buffers = True
     distills = False
 
     def __init__(self, suite, hp, master_seed):
         super().__init__(suite, hp, master_seed)
         self.beta = hp.beta if self.distills else 0.0
         self.buffers: dict[int, rehearsal.ReplayBuffer] = {}
-        self.buffer_capacity = rehearsal.per_task_capacity(hp.buffer_total, self.task_count)
         # Replay gradient and backward workspace, overwritten by every step.
         self._grad = np.zeros(self.arch.d, dtype=np.float64)
         self._work = net.GradBuffer.zeros(self.arch.d)

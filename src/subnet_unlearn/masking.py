@@ -3,7 +3,10 @@
 A task's mask is a bool array over the flat parameter space.  It selects,
 per maskable layer, the k entries with the largest absolute score
 (k = max(1, round(alpha * layer_size)), ties to the lowest flat index) plus
-every bit of that task's head.  The registry holds the final mask of each
+every bit of that task's head.  The selection is a threshold, not a sort:
+``np.partition`` finds the k-th largest |score| of the layer, every entry
+above it is taken and the slots left over go to the entries equal to it,
+lowest index first.  The registry holds the final mask of each
 currently learned task; the provenance ledger records, per task, which
 parameters that task's data has actually written, which is what exact
 unlearning later resets.
@@ -41,7 +44,12 @@ def topk_mask(scores: np.ndarray, alpha: float, arch: MlpArch, active_task: int,
 
     ``eligible`` (bool, d) restricts which entries may be picked; the budget k
     still comes from the full layer size, so too few eligible entries raises
-    CapacityError.  Ties in |score| go to the lowest flat index.
+    CapacityError.  Ties in |score| go to the lowest flat index; a NaN score
+    ranks below every number.
+
+    Per layer this is a threshold selection, not a sort: ``np.partition``
+    finds the k-th largest |score|, every entry above it is taken, and the
+    remaining slots go to the entries equal to it in ascending index order.
     """
     if not arch.maskable_layers():
         raise ValueError("no maskable layers")
@@ -50,15 +58,21 @@ def topk_mask(scores: np.ndarray, alpha: float, arch: MlpArch, active_task: int,
     bits = np.zeros(arch.d, dtype=bool)
     for layer in arch.maskable_layers():
         k = layer_budget(alpha, layer.size)
-        pool = np.arange(layer.start, layer.stop)
+        mag = np.abs(scores[layer.start : layer.stop])
+        # Ranks: ineligible (-1) < NaN (-0.5) < every magnitude (>= 0).
+        np.copyto(mag, -0.5, where=np.isnan(mag))
         if eligible is not None:
-            pool = pool[eligible[layer.start : layer.stop]]
-        if pool.size < k:
-            raise CapacityError(
-                f"layer {layer.name}: need {k} free entries, only {pool.size} left")
-        mag = np.abs(scores[pool])
-        order = np.lexsort((pool, -mag))  # |score| desc, then index asc
-        bits[pool[order[:k]]] = True
+            free = eligible[layer.start : layer.stop]
+            left = int(np.count_nonzero(free))
+            if left < k:
+                raise CapacityError(
+                    f"layer {layer.name}: need {k} free entries, only {left} left")
+            np.copyto(mag, -1.0, where=~free)
+        kth = np.partition(mag, mag.size - k)[mag.size - k]
+        picked = bits[layer.start : layer.stop]
+        np.greater(mag, kth, out=picked)
+        ties = np.flatnonzero(mag == kth)
+        picked[ties[: k - np.count_nonzero(picked)]] = True
     head = arch.head_layer(active_task)
     bits[head.start : head.stop] = True
     return bits

@@ -85,6 +85,10 @@ def check_topk():
     picked = sorted(np.flatnonzero(mask[:6]).tolist())
     if picked != [0, 1, 3]:  # |1.0| tie between 0, 1(sign), 3 -> lowest indices win
         raise AssertionError(f"tie-break picked {picked}, expected [0, 1, 3]")
+    scores[:6] = [0.5, -1.0, -0.5, 0.5, 0.9, -0.1]
+    picked = np.flatnonzero(topk_mask(scores, 0.5, arch, 1)[:6]).tolist()
+    if picked != [0, 1, 4]:  # k cuts through the |0.5| tie of 0, 2, 3
+        raise AssertionError(f"cut-through tie picked {picked}, expected [0, 1, 4]")
     full = topk_mask(scores, 1.0, arch, 1)
     if int(full[:6].sum()) != 6:
         raise AssertionError("alpha=1 must select the whole layer")

@@ -157,6 +157,25 @@ def test_run_bad_hyperparams_is_exit_2(tmp_path):
                    *FAST_RUN, "--epochs", "0") == 2
 
 
+@pytest.mark.parametrize("method,flags,message", [
+    ("subnet", ("--tasks", "5", "--buffer-total", "2"),
+     "--buffer-total: budget 2 leaves no slot per task for 5 tasks"),
+    ("er", ("--buffer-total", "-5"), "buffer_total must be >= 0"),
+    ("subnet", ("--hidden", "0"), "bad --hidden '0', expected e.g. 64,64"),
+    ("sequential", ("--hidden", ","), "bad --hidden ',', expected e.g. 64,64"),
+], ids=["budget-below-tasks", "negative-budget", "zero-width-hidden", "empty-hidden"])
+def test_run_invalid_flag_is_one_line_exit_2(method, flags, message, tmp_path, capsys):
+    assert run_cli("run", "--method", method, "--outdir", str(tmp_path),
+                   *FAST_RUN, *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_budget_is_not_checked_for_methods_without_buffers(tmp_path):
+    # static_sparse keeps no replay buffer, so a budget below --tasks is moot.
+    assert run_cli("run", "--method", "static_sparse", "--outdir", str(tmp_path),
+                   *FAST_RUN, "--buffer-total", "1") == 0
+
+
 def test_run_unknown_method_is_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as e:
         run_cli("run", "--method", "mystery", "--outdir", str(tmp_path), *FAST_RUN)

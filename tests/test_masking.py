@@ -53,6 +53,24 @@ def test_topk_magnitude_selection_and_lowest_index_ties():
     assert full[:6].all()
 
 
+def test_topk_cut_through_tie_goes_to_lowest_index():
+    # k = 3 takes 1.0 and 0.9, then one of the three entries tied at |0.5|.
+    arch = build_mlp(2, (2,), 2, 1)
+    scores = scores_for(arch, [0.5, -1.0, -0.5, 0.5, 0.9, -0.1])
+    mask = topk_mask(scores, 0.5, arch, 1)
+    assert np.flatnonzero(mask[:6]).tolist() == [0, 1, 4]
+
+
+def test_topk_cut_through_tie_in_eligible_pool_goes_to_lowest_index():
+    # With entry 0 out of the pool, the tie at |0.5| is between 2 and 3.
+    arch = build_mlp(2, (2,), 2, 1)
+    scores = scores_for(arch, [0.5, -1.0, -0.5, 0.5, 0.9, -0.1])
+    eligible = arch.maskable_bits().copy()
+    eligible[0] = False
+    mask = topk_mask(scores, 0.5, arch, 1, eligible=eligible)
+    assert np.flatnonzero(mask[:6]).tolist() == [1, 2, 4]
+
+
 def test_topk_sets_only_active_head():
     arch = build_mlp(2, (2,), 2, 3)
     mask = topk_mask(scores_for(arch), 0.5, arch, 2)
@@ -99,6 +117,64 @@ def test_topk_budget_property(seed, alpha):
     # Deterministic in its inputs.
     again = topk_mask(scores, alpha, arch, 1)
     np.testing.assert_array_equal(mask, again)
+
+
+def _topk_lexsort(scores, alpha, arch, active_task, eligible=None):
+    """The sort-based selection ``topk_mask`` replaced, kept as its oracle:
+    per layer, lexsort the pool by |score| descending, then index ascending."""
+    bits = np.zeros(arch.d, dtype=bool)
+    for layer in arch.maskable_layers():
+        k = layer_budget(alpha, layer.size)
+        pool = np.arange(layer.start, layer.stop)
+        if eligible is not None:
+            pool = pool[eligible[layer.start : layer.stop]]
+        if pool.size < k:
+            raise CapacityError(
+                f"layer {layer.name}: need {k} free entries, only {pool.size} left")
+        mag = np.abs(scores[pool])
+        order = np.lexsort((pool, -mag))
+        bits[pool[order[:k]]] = True
+    head = arch.head_layer(active_task)
+    bits[head.start : head.stop] = True
+    return bits
+
+
+# Halves in [-2, 2] force ties; signed zeros, infinities and NaN mix in.
+TOPK_SCORE = st.one_of(st.integers(-4, 4).map(lambda v: v / 2),
+                       st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                       st.floats(-3.0, 3.0))
+
+
+@st.composite
+def topk_cases(draw):
+    hidden = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    arch = build_mlp(draw(st.integers(1, 4)), hidden, 2, 2)
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True))
+    scores = np.array(draw(st.lists(TOPK_SCORE, min_size=arch.d, max_size=arch.d)))
+    eligible = None
+    if draw(st.booleans()):
+        eligible = np.array(draw(st.lists(st.booleans(), min_size=arch.d,
+                                          max_size=arch.d)))
+    return scores, alpha, arch, draw(st.integers(1, 2)), eligible
+
+
+def _mask_or_capacity_message(fn, case):
+    try:
+        return fn(*case)
+    except CapacityError as e:
+        return str(e)
+
+
+@given(topk_cases())
+@settings(max_examples=300, deadline=None)
+def test_topk_matches_lexsort_oracle(case):
+    got = _mask_or_capacity_message(topk_mask, case)
+    want = _mask_or_capacity_message(_topk_lexsort, case)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_init_scores_bounded_and_only_maskable():
