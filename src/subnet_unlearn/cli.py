@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple
 
 from . import checkpoint as ckpt
 from . import engine as eng
@@ -159,11 +160,7 @@ def cmd_run(args) -> int:
         report = metrics.build_report(
             args.method, seed, sc.tasks, sc.unlearns, matrix, learner.retrain_events,
             learner.arch.d, len(learner.sections().get("masks", {})), len(learner.omega))
-        rows.append([report.method, report.task_count, report.unlearn_count, seed,
-                     report.acc_learned, report.acc_unlearned, report.forget_learned,
-                     report.forget_unlearned, report.forget_unlearned_max,
-                     report.model_size_bytes, report.retrain_ratio,
-                     report.retrain_mean_abs_diff])
+        rows.append(astuple(report))
         for i, row in enumerate(matrix.rows):
             trace_lines.append(json.dumps(
                 {"seed": seed, "index": i,

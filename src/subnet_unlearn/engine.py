@@ -28,7 +28,7 @@ import numpy as np
 from . import net, rehearsal
 from .masking import (CapacityError, MaskRegistry, ProvenanceLedger, affected_params,
                       init_scores, later_tasks, layer_budget, ste_score_grad, topk_mask)
-from .metrics import AccuracyMatrix, audit_unlearning
+from .metrics import AccuracyMatrix
 from .net import MlpArch, ParamStore, build_mlp
 from .optim import apply_update, make_optimizer
 from .rng import StreamSet
@@ -467,15 +467,11 @@ def run_sequence(method: str, suite: TaskSuite, hp: Hyperparams, master_seed: in
 
 
 def audit_learner(learner: BaseLearner) -> list[str]:
-    """Run the exact-unlearning audit against a learner's live state."""
-    ledger = getattr(learner, "ledger", None) or ProvenanceLedger(learner.arch.d)
-    problems = audit_unlearning(ledger, learner.unlearned,
-                                getattr(learner, "buffers", None),
-                                getattr(learner, "registry", None))
-    if isinstance(learner, IndependentLearner):
-        problems += [f"task {t}: model still stored" for t in sorted(learner.unlearned)
-                     if t in learner.stores]
-    return problems
+    """The exact-unlearning audit: for each unlearned task, every state
+    section other than the parameters that still holds it is one problem."""
+    sections = learner.sections().items()
+    return [f"task {t}: section {name!r} still holds it" for t in sorted(learner.unlearned)
+            for name, sec in sections if name != "params" and t in sec]
 
 
 def _bit_equal(u, v) -> bool:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import MaskRegistry, ProvenanceLedger
 from .scenario import Request
 
 
@@ -150,25 +149,6 @@ def retrain_stats(events, d: int):
     ratio = sum(e.shared_count / d for e in events) / len(events)
     diffs = [e.mean_abs_diff for e in events if e.shared_count]
     return ratio, (sum(diffs) / len(diffs) if diffs else 0.0)
-
-
-def audit_unlearning(ledger: ProvenanceLedger, unlearned, buffers=None,
-                     registry: MaskRegistry | None = None) -> list[str]:
-    """Violations of the exact-unlearning contract for unlearned tasks.
-
-    After unlearning t nothing may remain: no owned parameters in the
-    ledger, no replay buffer, no registered mask.  Empty list means clean.
-    """
-    problems = []
-    for t in sorted(unlearned):
-        owned = np.count_nonzero(ledger.owned(t))
-        if owned:
-            problems.append(f"task {t}: ledger still attributes {owned} parameters")
-        if buffers is not None and t in buffers:
-            problems.append(f"task {t}: replay buffer still stored")
-        if registry is not None and t in registry.masks:
-            problems.append(f"task {t}: mask still registered")
-    return problems
 
 
 @dataclass

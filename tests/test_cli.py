@@ -5,11 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from subnet_unlearn import checkpoint as ckpt
 from subnet_unlearn import cli
+from subnet_unlearn.metrics import MetricReport
 
 FAST_RUN = ["--tasks", "2", "--unlearns", "1", "--input-dim", "4",
             "--train-per-class", "8", "--test-per-class", "8",
@@ -80,6 +82,17 @@ def test_run_writes_results_trace_and_timings(tmp_path, capsys):
         timing_rows = list(csv.reader(fh))
     assert timing_rows[0] == ["seed", "runtime_s"] and len(timing_rows) == 3
     assert "A_l" in capsys.readouterr().out
+
+
+def test_metric_report_fields_are_in_csv_column_order():
+    # cmd_run writes astuple(report) under CSV_COLUMNS, so reordering the
+    # report's fields would silently swap CSV columns.
+    assert [f.name for f in fields(MetricReport)] == [
+        "method", "task_count", "unlearn_count", "seed", "acc_learned",
+        "acc_unlearned", "forget_learned", "forget_unlearned",
+        "forget_unlearned_max", "model_size_bytes", "retrain_ratio",
+        "retrain_mean_abs_diff"]
+    assert len(fields(MetricReport)) == len(cli.CSV_COLUMNS)
 
 
 def test_run_is_byte_deterministic(tmp_path):

@@ -1,5 +1,7 @@
 """Learner behavior: freezing, cleanliness, capacity, head isolation,
-unlearning bookkeeping, checkpoints, and the rewind comparison."""
+unlearning bookkeeping, the audit, checkpoints, and the rewind comparison."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from conftest import tiny_scenario
 from subnet_unlearn import net
 from subnet_unlearn.checkpoint import load_checkpoint, save_checkpoint
 from subnet_unlearn.engine import (EXACT_METHODS, METHODS, Hyperparams,
-                                   RequestError, UnknownTaskError,
+                                   RequestError, SubnetLearner, UnknownTaskError,
                                    audit_learner, make_learner, process_request,
                                    run_sequence, state_diffs)
 from subnet_unlearn.masking import CapacityError
@@ -231,6 +233,26 @@ def test_independent_unlearn_deletes_the_model():
     assert 0.2 <= acc <= 0.8
 
 
+@pytest.mark.parametrize("seq", [
+    [L(1), L(2), L(3), U(1), U(3)], [L(1), L(2), L(3), U(1), U(2)], [L(2), L(1), U(2)],
+    [L(1), L(2), L(3), L(4), U(2), U(1), U(4)]])
+def test_unlearn_leaves_reset_entries_owned_only_where_retrained(seq):
+    """After unlearning t, retained tasks own t's former entries exactly where
+    they were retrained: the shared entries if retraining ran, else none."""
+    suite = Scenario(seed=42, tasks=4, unlearns=0).suite_for_seed(42)
+    learner = make_learner("subnet", suite, Hyperparams(alpha=0.3, epochs=3), 42)
+    matrix = AccuracyMatrix()
+    for request in seq:
+        owned = learner.ledger.owned(request.task)
+        process_request(learner, request, suite, matrix)
+        if request.kind == "unlearn":
+            held = np.zeros(learner.arch.d, dtype=bool)
+            for tau in learner.omega:
+                held |= learner.ledger.owned(tau) & owned
+            event = learner.retrain_events[-1]
+            assert np.count_nonzero(held) == (event.shared_count if event.steps else 0)
+
+
 def test_er_first_task_matches_sequential_bit_for_bit():
     sc = tiny_scenario(33)
     suite = sc.suite_for_seed(33)
@@ -252,6 +274,61 @@ def test_beta_wiring():
 def test_buffers_respect_per_task_capacity():
     suite, learner, _ = tiny_run("subnet", [L(1)])
     assert len(learner.buffers[1].y) == 4  # 12 total across 3 tasks
+
+
+# ------------------------------------------------------------------ audit --
+
+def test_audit_passes_on_clean_state():
+    _, learner, _ = tiny_run("subnet", [L(1), L(2), U(1)])
+    assert audit_learner(learner) == []
+
+
+def test_audit_reports_each_violation_kind():
+    _, learner, _ = tiny_run("subnet", [L(1), L(2), U(1)])
+    d = learner.arch.d
+    residues = {"ledger": lambda: learner.ledger.record(1, np.arange(d) < 1),
+                "buffers": lambda: learner.buffers.update({1: learner.buffers[2]}),
+                "masks": lambda: learner.registry.add(1, np.zeros(d, dtype=bool))}
+    for name, plant in residues.items():
+        plant()
+        problems = audit_learner(learner)
+        assert len(problems) == 1
+        assert "task 1" in problems[0] and repr(name) in problems[0]
+        del learner.sections()[name][1]
+    # All three at once, all named.
+    for plant in residues.values():
+        plant()
+    assert len(audit_learner(learner)) == 3
+
+
+def test_audit_reports_an_unlearned_tasks_empty_ledger_entry():
+    _, learner, _ = tiny_run("subnet", [L(1), L(2), U(1)])
+    learner.ledger.trained_by[1] = np.zeros(learner.arch.d, dtype=bool)
+    assert audit_learner(learner) == ["task 1: section 'ledger' still holds it"]
+
+
+class NotingLearner(SubnetLearner):
+    """Keeps a per-task note in a section of its own that unlearning leaves."""
+
+    def __init__(self, suite, hp, master_seed):
+        super().__init__(suite, hp, master_seed)
+        self.notes: dict[int, np.ndarray] = {}
+
+    def _learn(self, task, data):
+        super()._learn(task, data)
+        self.notes[task] = np.zeros(1)
+
+    def sections(self):
+        return {**super().sections(), "notes": self.notes}
+
+
+def test_audit_reports_a_subclass_section_that_keeps_the_task():
+    suite = tiny_scenario(11).suite_for_seed(11)
+    learner = NotingLearner(suite, TINY_HP, 11)
+    for t in (1, 2):
+        learner.learn(t, suite.tasks[t])
+    learner.unlearn(1)
+    assert audit_learner(learner) == ["task 1: section 'notes' still holds it"]
 
 
 # ------------------------------------------------------------ checkpoints --
@@ -305,6 +382,14 @@ def test_state_diffs_detects_injected_perturbation():
     b.ledger.trained_by[1] = b.ledger.trained_by[1].copy()
     b.ledger.trained_by[1][j] = False
     assert "ledger for task 1 differ" in state_diffs(a, b, suite)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_state_diffs_sees_learn_order(method):
+    suite, a, _ = tiny_run(method, [L(1), L(2)])
+    b = copy.deepcopy(a)
+    b.omega.reverse()
+    assert state_diffs(a, b, suite) != []
 
 
 @pytest.mark.xfail(strict=True, reason=(

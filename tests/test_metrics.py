@@ -1,13 +1,10 @@
 """Metric arithmetic against hand-computed matrices, memory accounting
-goldens, retraining statistics, the audit, and cross-seed aggregation."""
+goldens, retraining statistics, and cross-seed aggregation."""
 
-import numpy as np
 import pytest
 
 from subnet_unlearn.engine import Hyperparams, RetrainEvent, run_sequence
-from subnet_unlearn.masking import MaskRegistry, ProvenanceLedger
-from subnet_unlearn.metrics import (AccuracyMatrix, aggregate,
-                                    audit_unlearning, build_report,
+from subnet_unlearn.metrics import (AccuracyMatrix, aggregate, build_report,
                                     final_accuracies, forgetting,
                                     max_unlearn_drop, mib, model_size_bytes,
                                     retrain_stats, table_size_mib)
@@ -133,37 +130,6 @@ def test_retrain_stats_hand_values():
     assert ratio == pytest.approx((0 / 1000 + 50 / 1000) / 2, abs=1e-15)
     assert diff == pytest.approx(0.25, abs=1e-15)  # only events with shares
     assert retrain_stats([], d=10) == (0.0, 0.0)
-
-
-# ------------------------------------------------------------------ audit --
-
-def test_audit_passes_on_clean_state():
-    led = ProvenanceLedger(8)
-    reg = MaskRegistry(8)
-    led.record(2, np.arange(8) < 2)
-    reg.add(2, np.arange(8) < 3)
-    assert audit_unlearning(led, {1}, buffers={2: object()}, registry=reg) == []
-
-
-def test_audit_reports_each_violation_kind():
-    led = ProvenanceLedger(8)
-    led.record(1, np.arange(8) < 1)
-    problems = audit_unlearning(led, {1})
-    assert len(problems) == 1 and "task 1" in problems[0]
-
-    led.clear(1)
-    problems = audit_unlearning(led, {1}, buffers={1: object()})
-    assert len(problems) == 1 and "buffer" in problems[0]
-
-    reg = MaskRegistry(8)
-    reg.add(1, np.zeros(8, dtype=bool))
-    problems = audit_unlearning(led, {1}, registry=reg)
-    assert len(problems) == 1 and "mask" in problems[0]
-
-    # All three at once, all named.
-    led.record(1, np.arange(8) < 1)
-    problems = audit_unlearning(led, {1}, buffers={1: object()}, registry=reg)
-    assert len(problems) == 3
 
 
 # -------------------------------------------------------------- aggregate --
