@@ -48,34 +48,41 @@ def _outdir(args) -> str:
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tasks", type=int, help="number of tasks")
     p.add_argument("--unlearns", type=int, help="number of unlearning requests")
-    p.add_argument("--input-dim", type=int, default=8)
-    p.add_argument("--classes-per-task", type=int, default=2)
-    p.add_argument("--train-per-class", type=int, default=200)
-    p.add_argument("--test-per-class", type=int, default=200)
-    p.add_argument("--spread", type=float, default=10.0, help="class center scale")
-    p.add_argument("--noise", type=float, default=1.0, help="within-class scale")
+    # No defaults here: Scenario's field defaults fill the dataset flags not given.
+    p.add_argument("--input-dim", type=int)
+    p.add_argument("--classes-per-task", type=int)
+    p.add_argument("--train-per-class", type=int)
+    p.add_argument("--test-per-class", type=int)
+    p.add_argument("--spread", type=float, help="class center scale")
+    p.add_argument("--noise", type=float, help="within-class scale")
+
+
+DATASET_FLAGS = ("input_dim", "classes_per_task", "train_per_class", "test_per_class",
+                 "spread", "noise")
+
+
+def _build_scenario(seed: int, args) -> scenario.Scenario:
+    given = {k: getattr(args, k) for k in DATASET_FLAGS if getattr(args, k) is not None}
+    try:
+        return scenario.build_scenario(seed, args.tasks, args.unlearns, **given)
+    except ValueError as e:
+        raise SystemExit2(str(e))
 
 
 def _scenario_from_args(args) -> scenario.Scenario:
     if args.scenario:
-        if args.tasks is not None or args.unlearns is not None:
-            raise SystemExit2("--scenario and inline --tasks/--unlearns are exclusive")
+        if any(getattr(args, k) is not None for k in ("tasks", "unlearns") + DATASET_FLAGS):
+            raise SystemExit2("--scenario and inline scenario flags are exclusive")
         try:
             sc = scenario.read_scenario(args.scenario)
         except (OSError, ValueError) as e:
             raise SystemExit2(f"cannot read scenario: {e}")
+        if sc.sequence != sc.sequence_for_seed(sc.seed):
+            raise SystemExit2(f"scenario [sequence] is not the one seed {sc.seed} generates")
     else:
         if args.tasks is None or args.unlearns is None:
             raise SystemExit2("need either --scenario or both --tasks and --unlearns")
-        try:
-            sc = scenario.build_scenario(
-                args.master_seed if args.master_seed is not None else 0,
-                args.tasks, args.unlearns,
-                input_dim=args.input_dim, classes_per_task=args.classes_per_task,
-                train_per_class=args.train_per_class, test_per_class=args.test_per_class,
-                spread=args.spread, noise=args.noise)
-        except ValueError as e:
-            raise SystemExit2(str(e))
+        sc = _build_scenario(args.master_seed if args.master_seed is not None else 0, args)
     if args.master_seed is not None:
         sc.seed = args.master_seed
     return sc
@@ -86,14 +93,7 @@ class SystemExit2(Exception):
 
 
 def cmd_gen_scenario(args) -> int:
-    try:
-        sc = scenario.build_scenario(
-            args.seed, args.tasks, args.unlearns,
-            input_dim=args.input_dim, classes_per_task=args.classes_per_task,
-            train_per_class=args.train_per_class, test_per_class=args.test_per_class,
-            spread=args.spread, noise=args.noise)
-    except ValueError as e:
-        raise SystemExit2(str(e))
+    sc = _build_scenario(args.seed, args)
     if args.output == "-":
         sys.stdout.write(scenario.scenario_to_text(sc))
     else:

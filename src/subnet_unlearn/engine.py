@@ -111,6 +111,10 @@ class BaseLearner:
         if not 1 <= task <= self.task_count:
             raise RequestError(f"task {task} outside 1..{self.task_count}")
         self._learn(task, data)
+        if self.uses_buffers:
+            self.buffers[task] = rehearsal.fill_buffer(
+                data.x_train, data.y_train, self.params, self._mask(task), task,
+                self.buffer_capacity, self.stream(task, "buffer_sample"))
         self.omega.append(task)
         self.ever_learned.add(task)
 
@@ -118,6 +122,8 @@ class BaseLearner:
         if task not in self.omega:
             raise RequestError(f"task {task} is not currently learned")
         self._unlearn(task)
+        if self.uses_buffers:
+            rehearsal.delete_buffer(self.buffers, task)
         self.omega.remove(task)
 
     @property
@@ -137,6 +143,13 @@ class BaseLearner:
             n = np.atleast_2d(np.asarray(x)).shape[0]
             return self.stream(task, "eval").randints(n, self.arch.classes_per_task)
         return self._predict(task, x)
+
+    def _mask(self, task: int) -> np.ndarray | None:
+        """The bits ``task``'s forward passes run through; None for dense."""
+        return None
+
+    def _predict(self, task: int, x: np.ndarray) -> np.ndarray:
+        return np.argmax(net.forward(self.params, self._mask(task), task, x), axis=1)
 
     def eval_task(self, task: int, x: np.ndarray, y: np.ndarray):
         labels = self.predict(task, x)
@@ -193,6 +206,22 @@ class BaseLearner:
             lambda t: self.stream(t, "retrain_order"))
         return rehearsal.replay_grad(self.params, masks, batches, beta, grad, work)[2]
 
+    def _repair(self, tasks, masks: dict, beta: float, update_bits: np.ndarray,
+                forget=None) -> None:
+        """The repair after an unlearn: ``n_retrain`` steps of the replay
+        gradient over ``tasks``' buffers, plus the gradient ``forget()``
+        returns when given, applied where ``update_bits`` is set.  ``forget``
+        runs first, so a diverging step raises its error before replay's."""
+        opt = self._make_opt()
+        grad = np.zeros(self.arch.d, dtype=np.float64)
+        work = net.GradBuffer.zeros(self.arch.d)
+        for _ in range(self.hp.n_retrain):
+            own = forget() if forget is not None else None
+            self._replay_grad(tasks, masks, beta, grad, work)
+            if own is not None:
+                grad += own
+            apply_update(self.params.values, grad, opt, update_bits)
+
 
 class MaskedLearner(BaseLearner):
     """Single shared store plus per-task masks and provenance tracking."""
@@ -212,15 +241,9 @@ class MaskedLearner(BaseLearner):
         mask = self._train_subnetwork(task, data, free)
         self.registry.add(task, mask)
         self.ledger.record(task, mask & free)
-        if self.uses_buffers:
-            self.buffers[task] = rehearsal.fill_buffer(
-                data.x_train, data.y_train, self.params, mask, task,
-                self.buffer_capacity, self.stream(task, "buffer_sample"))
         net.resample(self.params, ~self.registry.union(), self.stream(task, "reinit_unused"))
 
     def _unlearn(self, task: int) -> None:
-        if self.uses_buffers:
-            rehearsal.delete_buffer(self.buffers, task)
         owned = self.ledger.owned(task)
         net.resample(self.params, owned, self.stream(task, "unlearn_reset"))
         later = later_tasks(self.omega, task)
@@ -231,7 +254,8 @@ class MaskedLearner(BaseLearner):
             reset_vals = self.params.values[shared]
             if self.uses_buffers and self.hp.n_retrain > 0:
                 steps = self.hp.n_retrain
-                self._retrain_shared(later, shared)
+                self._repair(later, {t: self.registry.get(t) for t in later},
+                             self.hp.beta, shared)
             diff = float(np.abs(self.params.values[shared] - reset_vals).mean())
         self.ledger.erase(owned)
         self.ledger.clear(task)
@@ -241,16 +265,6 @@ class MaskedLearner(BaseLearner):
         self.registry.remove(task)
         self.retrain_events.append(RetrainEvent(
             task, int(np.count_nonzero(owned)), int(np.count_nonzero(shared)), steps, diff))
-
-    def _retrain_shared(self, later: list[int], shared: np.ndarray) -> None:
-        """Recover later tasks' use of the reset entries from their buffers."""
-        masks = {t: self.registry.get(t) for t in later}
-        opt = self._make_opt()
-        grad = np.zeros(self.arch.d, dtype=np.float64)
-        work = net.GradBuffer.zeros(self.arch.d)
-        for _ in range(self.hp.n_retrain):
-            self._replay_grad(later, masks, self.hp.beta, grad, work)
-            apply_update(self.params.values, grad, opt, shared)
 
     def _score_train(self, task: int, data, free: np.ndarray,
                      eligible: np.ndarray | None) -> np.ndarray:
@@ -272,9 +286,8 @@ class MaskedLearner(BaseLearner):
         return {"params": self.params.values, "masks": self.registry.masks,
                 "ledger": self.ledger.trained_by, "buffers": self.buffers}
 
-    def _predict(self, task: int, x: np.ndarray) -> np.ndarray:
-        logits = net.forward(self.params, self.registry.get(task), task, x)
-        return np.argmax(logits, axis=1)
+    def _mask(self, task: int) -> np.ndarray:
+        return self.registry.get(task)
 
 
 class SubnetLearner(MaskedLearner):
@@ -345,9 +358,6 @@ class SequentialLearner(BaseLearner):
     def sections(self) -> dict:
         return {"params": self.params.values}
 
-    def _predict(self, task, x):
-        return np.argmax(net.forward(self.params, None, task, x), axis=1)
-
 
 class ReplayLearner(SequentialLearner):
     """Dense model with replay buffers; ``distills`` adds the stored-logit
@@ -368,33 +378,22 @@ class ReplayLearner(SequentialLearner):
     def sections(self) -> dict:
         return {"params": self.params.values, "buffers": self.buffers}
 
-    def _step_grads(self, g: net.GradBuffer, exclude: int | None = None) -> np.ndarray:
-        """The step's own gradient plus replay over every other buffered task."""
-        tasks = [t for t in self.buffers if t != exclude]
-        grad = self._replay_grad(tasks, {}, self.beta, self._grad, self._work)
+    def _step_grads(self, g: net.GradBuffer) -> np.ndarray:
+        """The step's own gradient plus replay over every buffered task."""
+        grad = self._replay_grad(self.buffers, {}, self.beta, self._grad, self._work)
         grad += g.params
         return grad
 
-    def _learn(self, task, data) -> None:
-        super()._learn(task, data)
-        self.buffers[task] = rehearsal.fill_buffer(
-            data.x_train, data.y_train, self.params, None, task,
-            self.buffer_capacity, self.stream(task, "buffer_sample"))
-
     def _unlearn(self, task) -> None:
-        # Finetune toward chance on the departing task's buffer while replaying
-        # the others, then drop that buffer.
-        update_bits = self._dense_update_bits(task)
-        opt = self._make_opt()
-        for _ in range(self.hp.n_retrain):
+        # Finetune toward chance on the departing task's buffer, replaying the others.
+        def forget() -> np.ndarray:
             xb, _, _ = rehearsal.sample_batch(self.buffers[task], self.hp.batch_size,
                                               self.stream(task, "retrain_order"))
             logits, trace = net.forward_trace(self.params, None, task, xb)
-            _, dlogits = net.uniform_cross_entropy_grad(logits)
-            g = net.backward(trace, dlogits)
-            apply_update(self.params.values, self._step_grads(g, exclude=task), opt,
-                         update_bits)
-        rehearsal.delete_buffer(self.buffers, task)
+            return net.backward(trace, net.uniform_cross_entropy_grad(logits)[1]).params
+
+        others = [t for t in self.buffers if t != task]
+        self._repair(others, {}, self.beta, self._dense_update_bits(task), forget)
 
 
 class DistillingReplayLearner(ReplayLearner):

@@ -126,6 +126,37 @@ def test_run_scenario_and_inline_flags_conflict(tmp_path):
                    "--outdir", str(tmp_path)) == 2
 
 
+def test_run_scenario_and_dataset_flags_conflict(tmp_path, capsys):
+    path = tmp_path / "sc.txt"
+    assert run_cli("gen-scenario", "--seed", "5", "--tasks", "2", "--unlearns", "1",
+                   "--input-dim", "4", "--train-per-class", "8",
+                   "--test-per-class", "8", "-o", str(path)) == 0
+    rc = run_cli("run", "--method", "sequential", "--scenario", str(path),
+                 "--epochs", "1", "--hidden", "8", "--input-dim", "16", "--spread", "3",
+                 "--outdir", str(tmp_path))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --scenario and inline scenario flags are exclusive\n")
+
+
+def test_run_scenario_with_a_hand_written_sequence_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "sc.txt"
+    path.write_text("[params]\nseed = 5\ntasks = 3\nunlearns = 1\ninput_dim = 4\n"
+                    "classes_per_task = 2\ntrain_per_class = 8\ntest_per_class = 8\n"
+                    "[sequence]\nlearn 3\nlearn 1\nunlearn 3\nlearn 2\n")
+    rc = run_cli("run", "--method", "sequential", "--scenario", str(path),
+                 "--epochs", "1", "--hidden", "8", "--outdir", str(tmp_path))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: scenario [sequence] is not the one seed 5 generates\n")
+
+
+def test_run_hyperparameter_defaults_equal_hyperparams():
+    args = cli.build_parser().parse_args(
+        ["run", "--method", "subnet", "--tasks", "2", "--unlearns", "0"])
+    assert cli._hyperparams_from_args(args) == cli.eng.Hyperparams()
+
+
 def test_run_capacity_exhaustion_is_exit_3(tmp_path, capsys):
     rc = run_cli("run", "--method", "static_sparse", "--alpha", "0.9",
                  "--outdir", str(tmp_path), *FAST_RUN)

@@ -178,6 +178,18 @@ def test_canonical_sequence_bookkeeping_and_audit():
     assert len(learner.retrain_events) == 3
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_buffers_cover_exactly_the_learned_tasks_after_every_request(method):
+    sc = tiny_scenario(578, tasks=5, unlearns=3)
+    suite = sc.suite_for_seed(578)
+    learner = make_learner(method, suite, TINY_HP, 578)
+    matrix = AccuracyMatrix()
+    for request in [L(1), L(2), L(3), U(2), L(4), U(3), L(5), U(1)]:
+        process_request(learner, request, suite, matrix)
+        expected = sorted(learner.omega) if learner.uses_buffers else []
+        assert sorted(learner.sections().get("buffers", {})) == expected, request
+
+
 def test_unlearned_exact_method_answers_at_chance():
     suite, learner, _ = tiny_run("subnet", [L(1), L(2), U(2)],
                                  test_per_class=200)
@@ -207,6 +219,19 @@ def test_replay_unlearn_finetunes_and_drops_buffer():
     learner.unlearn(1)
     assert 1 not in learner.buffers and 2 in learner.buffers
     assert not np.array_equal(learner.params.values, before)
+
+
+def test_repair_takes_the_forget_gradient_before_replay_in_every_step(monkeypatch):
+    # When both diverge, the step raises forget's error, not replay's; the
+    # benchmark's failure records name that error type.
+    suite, learner, _ = tiny_run("derpp", [L(1), L(2)])
+    calls = []
+    replay = learner._replay_grad
+    monkeypatch.setattr(learner, "_replay_grad",
+                        lambda *a: calls.append("replay") or replay(*a))
+    forget = lambda: calls.append("forget") or np.zeros(learner.arch.d)
+    learner._repair([1], {}, learner.beta, learner._dense_update_bits(2), forget)
+    assert calls == ["forget", "replay"] * TINY_HP.n_retrain
 
 
 def test_retrain_event_records_shared_work():
